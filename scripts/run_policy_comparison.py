@@ -18,12 +18,10 @@ import numpy as np
 
 from neuronprune import (
     PolicyKind,
-    PrunePolicy,
     TrainConfig,
+    compare_policies,
     export_curve,
     make_blobs,
-    prune_layer,
-    trace_error_curve,
     train,
 )
 
@@ -61,25 +59,9 @@ def seed_curves(seed: int, args) -> dict:
             seed=seed,
         ),
     )
-    n_remove = args.hidden - 1
-    curves = {}
-    for kind in (
-        PolicyKind.SALIENCY_SURGERY,
-        PolicyKind.SALIENCY_NO_SURGERY,
-        PolicyKind.NAIVE_MAGNITUDE,
-    ):
-        _, trace = prune_layer(net, 0, n_remove, PrunePolicy(kind))
-        curves[kind] = dict(trace_error_curve(net, trace, ds))
-    draws = []
-    for offset in range(RANDOM_DRAWS):
-        _, trace = prune_layer(
-            net, 0, n_remove, PrunePolicy(PolicyKind.RANDOM, seed=seed + 100 * offset)
-        )
-        draws.append(dict(trace_error_curve(net, trace, ds)))
-    curves[PolicyKind.RANDOM] = {
-        step: float(np.mean([d[step] for d in draws])) for step in draws[0]
-    }
-    return curves
+    random_seeds = [seed + 100 * offset for offset in range(RANDOM_DRAWS)]
+    _, curves = compare_policies(net, 0, ds, random_seeds)
+    return {kind: dict(curve) for kind, curve in curves.items()}
 
 
 def main() -> int:

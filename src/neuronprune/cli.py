@@ -19,8 +19,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .cutoff import data_driven_cutoff, data_free_cutoff
 from .data import load_csv, make_blobs
 from .model_io import (
@@ -41,7 +39,7 @@ from .pruning import (
     replay_trace,
 )
 from .saliency import SimilarityConfig, SimilarityMode
-from .training import TrainConfig, TrainingDiverged, error_curve, evaluate, train
+from .training import TrainConfig, TrainingDiverged, compare_policies, evaluate, train
 
 __all__ = ["main", "entry"]
 
@@ -75,8 +73,8 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _add_data_args(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
+def _add_data_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    source = parser.add_mutually_exclusive_group(required=required)
     source.add_argument("--data", metavar="CSV", help="dataset CSV (features..., label)")
     source.add_argument(
         "--synthetic", action="store_true", help="use the built-in Gaussian-cluster generator"
@@ -244,31 +242,9 @@ def _cmd_compare(args) -> int:
     cfg = _similarity_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    deterministic = [
-        PrunePolicy(PolicyKind.SALIENCY_SURGERY),
-        PrunePolicy(PolicyKind.SALIENCY_NO_SURGERY),
-        PrunePolicy(PolicyKind.NAIVE_MAGNITUDE),
-    ]
-    curves = {}
-    for policy in deterministic:
-        curves[policy.kind] = error_curve(
-            net, args.layer_index, ds, policy, cfg, args.split, args.eval_every
-        )
-    random_runs = [
-        error_curve(
-            net,
-            args.layer_index,
-            ds,
-            PrunePolicy(PolicyKind.RANDOM, seed=seed),
-            cfg,
-            args.split,
-            args.eval_every,
-        )
-        for seed in args.seeds
-    ]
-    steps = [step for step, _ in random_runs[0]]
-    mean_errors = np.mean([[e for _, e in run] for run in random_runs], axis=0)
-    curves[PolicyKind.RANDOM] = list(zip(steps, (float(e) for e in mean_errors)))
+    _, curves = compare_policies(
+        net, args.layer_index, ds, args.seeds, cfg, args.split, args.eval_every
+    )
     for kind, curve in curves.items():
         path = out_dir / f"curve_{kind.value}.csv"
         export_curve(curve, path)
@@ -336,17 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cutoff.add_argument(
         "--split", choices=["train", "val", "test"], default="val", help="oracle split"
     )
-    source = p_cutoff.add_mutually_exclusive_group()
-    source.add_argument("--data", metavar="CSV", help="dataset CSV (data-driven)")
-    source.add_argument("--synthetic", action="store_true", help="built-in generator (data-driven)")
-    p_cutoff.add_argument("--has-header", action="store_true", help="skip one CSV header line")
-    p_cutoff.add_argument("--no-standardize", action="store_true", help="keep CSV features raw")
-    p_cutoff.add_argument("--samples", type=int, default=4300)
-    p_cutoff.add_argument("--features", type=int, default=57)
-    p_cutoff.add_argument("--classes", type=int, default=2)
-    p_cutoff.add_argument("--separation", type=float, default=4.0)
-    p_cutoff.add_argument("--label-noise", type=float, default=0.02)
-    p_cutoff.add_argument("--data-seed", type=int, default=0)
+    _add_data_args(p_cutoff, required=False)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
     p_eval.add_argument("--model", required=True, help="model file to read")

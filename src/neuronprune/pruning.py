@@ -10,9 +10,9 @@ argmin scan.
 
 Baseline policies for comparison runs:
 
-* ``SALIENCY_NO_SURGERY`` replays the exact removal sequence the surgery
-  policy would choose, but skips the coefficient fold, so any error gap
-  between the two is attributable to the surgery update alone.
+* ``SALIENCY_NO_SURGERY`` takes the surgery trace with ``kept`` stripped
+  and replays it on the input network as plain deletions, so any error
+  gap between the two is attributable to the coefficient fold alone.
 * ``NAIVE_MAGNITUDE`` removes the neuron with the smallest product of
   incoming-weight norm and outgoing-column norm, no surgery.
 * ``RANDOM`` removes uniformly at random under an explicit seed.
@@ -147,6 +147,11 @@ class PruneTrace:
     def saliencies(self) -> np.ndarray:
         return np.array([s.saliency for s in self.steps], dtype=np.float64)
 
+    def without_surgery(self) -> "PruneTrace":
+        """The same removals as plain deletions: the SALIENCY_NO_SURGERY ablation."""
+        steps = tuple(replace(s, kept=None) for s in self.steps)
+        return replace(self, steps=steps, test_errors=None)
+
     def with_test_errors(self, errors) -> "PruneTrace":
         return PruneTrace(
             layer_index=self.layer_index,
@@ -207,24 +212,16 @@ def prune_one(
 
 
 def _run_saliency(
-    net: Network, layer_index: int, count: int, cfg: SimilarityConfig, surgery: bool
+    net: Network, layer_index: int, count: int, cfg: SimilarityConfig
 ) -> tuple[Network, list[PruneStep]]:
-    # The no-surgery ablation replays the surgery policy's choices on a
-    # shadow copy and applies only the deletions to the returned net.
-    shadow = net
     matrix = build_saliency_matrix(
         net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
     )
     steps = []
     for _ in range(count):
-        before = matrix
-        shadow, matrix, step = prune_one(shadow, layer_index, before)
-        if surgery:
-            steps.append(step)
-        else:
-            steps.append(replace(step, kept=None))
-            net = delete_neuron(net, layer_index, before.physical_index(step.removed))
-    return (shadow if surgery else net), steps
+        net, matrix, step = prune_one(net, layer_index, matrix)
+        steps.append(step)
+    return net, steps
 
 
 def _run_magnitude(
@@ -279,16 +276,17 @@ def prune_layer(
         raise ValueError(
             f"count must be in [1, {n_out - 1}] for a {n_out}-neuron layer, got {count}"
         )
-    if policy.kind is PolicyKind.SALIENCY_SURGERY:
-        net, steps = _run_saliency(net, layer_index, count, cfg, surgery=True)
-    elif policy.kind is PolicyKind.SALIENCY_NO_SURGERY:
-        net, steps = _run_saliency(net, layer_index, count, cfg, surgery=False)
+    if policy.kind in (PolicyKind.SALIENCY_SURGERY, PolicyKind.SALIENCY_NO_SURGERY):
+        pruned, steps = _run_saliency(net, layer_index, count, cfg)
     elif policy.kind is PolicyKind.NAIVE_MAGNITUDE:
-        net, steps = _run_magnitude(net, layer_index, count)
+        pruned, steps = _run_magnitude(net, layer_index, count)
     else:
-        net, steps = _run_random(net, layer_index, count, policy.seed)
+        pruned, steps = _run_random(net, layer_index, count, policy.seed)
     trace = PruneTrace(layer_index=layer_index, n_original=n_out, steps=tuple(steps))
-    return net, trace
+    if policy.kind is PolicyKind.SALIENCY_NO_SURGERY:
+        trace = trace.without_surgery()
+        pruned = replay_trace(net, trace)
+    return pruned, trace
 
 
 def prune_network(
@@ -331,17 +329,23 @@ def replay_trace(net: Network, trace: PruneTrace, count: int | None = None) -> N
         raise ValueError("trace was recorded for a layer of a different width")
     live = np.ones(trace.n_original, dtype=bool)
     for step in trace.steps[:count]:
-        if not live[step.removed]:
-            raise ValueError(f"trace removes neuron {step.removed} twice")
-        removed_physical = int(np.count_nonzero(live[: step.removed]))
-        if step.kept is None:
-            net = delete_neuron(net, trace.layer_index, removed_physical)
-        else:
-            if not live[step.kept]:
-                raise ValueError(f"trace merges into already-removed neuron {step.kept}")
-            kept_physical = int(np.count_nonzero(live[: step.kept]))
-            net = merge_neurons(net, trace.layer_index, kept_physical, removed_physical)
-        live[step.removed] = False
+        net = _apply_step(net, trace.layer_index, step, live)
+    return net
+
+
+def _apply_step(net: Network, layer_index: int, step: PruneStep, live: np.ndarray) -> Network:
+    """Apply one trace step; ``live`` (by original index) is updated in place."""
+    if not live[step.removed]:
+        raise ValueError(f"trace removes neuron {step.removed} twice")
+    removed_physical = int(np.count_nonzero(live[: step.removed]))
+    if step.kept is None:
+        net = delete_neuron(net, layer_index, removed_physical)
+    else:
+        if not live[step.kept]:
+            raise ValueError(f"trace merges into already-removed neuron {step.kept}")
+        kept_physical = int(np.count_nonzero(live[: step.kept]))
+        net = merge_neurons(net, layer_index, kept_physical, removed_physical)
+    live[step.removed] = False
     return net
 
 

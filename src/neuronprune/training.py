@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .network import Activation, FcLayer, Network, delete_neuron, forward_batch, merge_neurons
-from .pruning import PrunePolicy, PruneStep, PruneTrace, prune_layer
+from .network import Activation, FcLayer, Network, forward_batch
+from .pruning import PolicyKind, PrunePolicy, PruneTrace, _apply_step, prune_layer
 from .saliency import SimilarityConfig
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "evaluate",
     "error_curve",
     "trace_error_curve",
+    "compare_policies",
 ]
 
 
@@ -188,21 +189,6 @@ def trace_error_curve(
     return curve
 
 
-def _apply_step(net: Network, layer_index: int, step: PruneStep, live: np.ndarray) -> Network:
-    if not live[step.removed]:
-        raise ValueError(f"trace removes neuron {step.removed} twice")
-    removed_physical = int(np.count_nonzero(live[: step.removed]))
-    if step.kept is None:
-        net = delete_neuron(net, layer_index, removed_physical)
-    else:
-        if not live[step.kept]:
-            raise ValueError(f"trace merges into already-removed neuron {step.kept}")
-        kept_physical = int(np.count_nonzero(live[: step.kept]))
-        net = merge_neurons(net, layer_index, kept_physical, removed_physical)
-    live[step.removed] = False
-    return net
-
-
 def error_curve(
     net: Network,
     layer_index: int,
@@ -221,3 +207,51 @@ def error_curve(
     count = net.layers[layer_index].n_out - 1
     _, trace = prune_layer(net, layer_index, count, policy, cfg)
     return trace_error_curve(net, trace, ds, split, eval_every)
+
+
+def compare_policies(
+    net: Network,
+    layer_index: int,
+    ds: Dataset,
+    random_seeds,
+    cfg: SimilarityConfig | None = None,
+    split: str = "test",
+    eval_every: int = 1,
+) -> tuple[dict, dict]:
+    """:func:`error_curve` for all four policies, keyed by :class:`PolicyKind`.
+
+    Returns ``(traces, curves)``; ``traces`` holds the three deterministic
+    policies. No-surgery reuses the surgery trace with ``kept`` stripped,
+    so the saliency loop runs once. The random curve is the elementwise
+    mean over ``random_seeds``, taken in seed order.
+    """
+    seeds = tuple(random_seeds)
+    if not seeds:
+        raise ValueError("need at least one random seed")
+    count = net.layers[layer_index].n_out - 1
+    _, surgery = prune_layer(
+        net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+    )
+    _, magnitude = prune_layer(
+        net, layer_index, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE), cfg
+    )
+    traces = {
+        PolicyKind.SALIENCY_SURGERY: surgery,
+        PolicyKind.SALIENCY_NO_SURGERY: surgery.without_surgery(),
+        PolicyKind.NAIVE_MAGNITUDE: magnitude,
+    }
+    curves = {
+        kind: trace_error_curve(net, trace, ds, split, eval_every)
+        for kind, trace in traces.items()
+    }
+    draws = [
+        error_curve(
+            net, layer_index, ds, PrunePolicy(PolicyKind.RANDOM, seed=seed), cfg, split, eval_every
+        )
+        for seed in seeds
+    ]
+    mean_errors = np.mean([[e for _, e in draw] for draw in draws], axis=0)
+    curves[PolicyKind.RANDOM] = [
+        (step, float(e)) for (step, _), e in zip(draws[0], mean_errors)
+    ]
+    return traces, curves

@@ -18,9 +18,6 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-HIDDEN = 20
-N_REMOVE = HIDDEN - 1
-
 # Two-class fixture: cheap enough for module-level behavioral checks.
 MODULE_SEEDS = (0, 1, 2, 3, 4)
 MODULE_DATA = dict(n_classes=2, separation=4.0, label_noise=0.02)
@@ -48,29 +45,9 @@ class PolicyRun:
 def _run_seed(seed, data_kw, train_kw, random_draws):
     ds = npr.make_blobs(seed=seed, **data_kw)
     net = npr.train(ds, npr.TrainConfig(seed=seed, **train_kw))
-    traces = {}
-    curves = {}
-    deterministic = (
-        npr.PolicyKind.SALIENCY_SURGERY,
-        npr.PolicyKind.SALIENCY_NO_SURGERY,
-        npr.PolicyKind.NAIVE_MAGNITUDE,
-    )
-    for kind in deterministic:
-        _, trace = npr.prune_layer(net, 0, N_REMOVE, npr.PrunePolicy(kind))
-        traces[kind] = trace
-        curves[kind] = dict(npr.trace_error_curve(net, trace, ds))
-    draws = []
-    for offset in range(random_draws):
-        _, trace = npr.prune_layer(
-            net,
-            0,
-            N_REMOVE,
-            npr.PrunePolicy(npr.PolicyKind.RANDOM, seed=seed + 100 * offset),
-        )
-        draws.append(dict(npr.trace_error_curve(net, trace, ds)))
-    curves[npr.PolicyKind.RANDOM] = {
-        step: float(np.mean([d[step] for d in draws])) for step in draws[0]
-    }
+    random_seeds = [seed + 100 * offset for offset in range(random_draws)]
+    traces, curves = npr.compare_policies(net, 0, ds, random_seeds)
+    curves = {kind: dict(curve) for kind, curve in curves.items()}
     baseline = curves[npr.PolicyKind.SALIENCY_SURGERY][0]
     return PolicyRun(seed, ds, net, traces, curves, baseline)
 

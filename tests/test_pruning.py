@@ -1,5 +1,7 @@
 """Removal loop, baseline policies, traces, and compression arithmetic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,14 @@ from neuronprune import (
     delete_neuron,
     forward_batch,
     layer_sizes,
+    make_blobs,
     neuron_removal_params,
     param_count,
     prune_layer,
     prune_network,
     prune_one,
     replay_trace,
+    trace_error_curve,
 )
 
 HEUR = SimilarityConfig()
@@ -190,12 +194,35 @@ class TestPruneLayer:
         assert trace.n_original == 9
 
     def test_no_surgery_follows_same_selection_sequence(self):
-        net = seeded_net(7, hidden=10)
-        _, with_s = prune_layer(net, 0, 7, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
-        _, without = prune_layer(net, 0, 7, PrunePolicy(PolicyKind.SALIENCY_NO_SURGERY))
-        assert [s.removed for s in without.steps] == [s.removed for s in with_s.steps]
-        assert [s.saliency for s in without.steps] == [s.saliency for s in with_s.steps]
-        assert all(s.kept is None for s in without.steps)
+        rng = np.random.default_rng(7)
+        tied = Network(
+            layers=(
+                FcLayer(
+                    np.repeat(rng.normal(size=(3, 6)), 4, axis=0),
+                    np.repeat(rng.normal(size=3), 4),
+                    Activation.SIGMOID,
+                ),
+                FcLayer(rng.normal(size=(3, 12)), rng.normal(size=3), Activation.IDENTITY),
+            ),
+            input_dim=6,
+        )
+        for net, count in ((seeded_net(7, hidden=10), 7), (tied, 11)):
+            _, with_s = prune_layer(net, 0, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+            pruned, without = prune_layer(
+                net, 0, count, PrunePolicy(PolicyKind.SALIENCY_NO_SURGERY)
+            )
+            assert [s.removed for s in without.steps] == [s.removed for s in with_s.steps]
+            assert [s.saliency for s in without.steps] == [s.saliency for s in with_s.steps]
+            assert all(s.kept is None for s in without.steps)
+            stripped = PruneTrace(
+                layer_index=0,
+                n_original=with_s.n_original,
+                steps=tuple(dataclasses.replace(s, kept=None) for s in with_s.steps),
+            )
+            replayed = replay_trace(net, stripped)
+            for la, lb in zip(pruned.layers, replayed.layers):
+                assert la.weights.tobytes() == lb.weights.tobytes()
+                assert la.bias.tobytes() == lb.bias.tobytes()
 
     def test_no_surgery_net_only_deletes(self):
         net = seeded_net(8, hidden=6)
@@ -353,6 +380,22 @@ class TestReplayTrace:
         partial = replay_trace(net, trace, count=2)
         assert partial.layers[0].n_out == 6
         assert replay_trace(net, trace, count=0) is net
+
+    def test_replay_rejects_merge_into_removed_neuron(self):
+        net = seeded_net(21, hidden=5)
+        ds = make_blobs(n_samples=60, n_features=6, n_classes=3, seed=21)
+        trace = PruneTrace(
+            layer_index=0,
+            n_original=5,
+            steps=(
+                PruneStep(step_number=1, removed=1, saliency=0.0, kept=0),
+                PruneStep(step_number=2, removed=2, saliency=0.0, kept=1),
+            ),
+        )
+        with pytest.raises(ValueError, match="already-removed neuron 1"):
+            replay_trace(net, trace)
+        with pytest.raises(ValueError, match="already-removed neuron 1"):
+            trace_error_curve(net, trace, ds)
 
     def test_replay_rejects_width_mismatch(self):
         net = seeded_net(20, hidden=8)

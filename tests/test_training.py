@@ -236,6 +236,24 @@ class TestErrorCurves:
         _, trace = prune_layer(net, 0, 5, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
         assert direct == trace_error_curve(net, trace, ds)
 
+    def test_compare_policies_matches_error_curve_per_policy(self):
+        ds = make_blobs(n_samples=400, n_features=6, n_classes=3, seed=20)
+        net = train(ds, TrainConfig(hidden_units=7, epochs=5, seed=20))
+        traces, curves = npr.compare_policies(net, 0, ds, (4, 9), eval_every=2)
+        assert list(curves) == list(PolicyKind)
+        assert list(traces) == list(PolicyKind)[:3]
+        for kind in list(PolicyKind)[:3]:
+            expected = error_curve(net, 0, ds, PrunePolicy(kind), eval_every=2)
+            assert curves[kind] == expected
+            assert traces[kind] == prune_layer(net, 0, 6, PrunePolicy(kind))[1]
+        draws = [
+            error_curve(net, 0, ds, PrunePolicy(PolicyKind.RANDOM, seed=s), eval_every=2)
+            for s in (4, 9)
+        ]
+        assert curves[PolicyKind.RANDOM] == [
+            (step, (a + b) / 2) for (step, a), (_, b) in zip(*draws)
+        ]
+
     def test_trace_from_wider_layer_rejected(self):
         ds = make_blobs(n_samples=300, n_features=6, seed=18)
         wide = train(ds, TrainConfig(hidden_units=9, epochs=2, seed=18))
