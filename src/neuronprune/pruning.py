@@ -1,12 +1,23 @@
 """Iterative neuron removal: pick the cheapest pair, merge, repeat.
 
-The main loop removes one neuron per step: scan the removal-cost matrix
-for its smallest live off-diagonal entry (i, j), fold j's outgoing
-coefficients into i's, delete j, then refresh only what the merge
-invalidated. Incoming weights never change, so cached similarities stay
-valid; only the outgoing factor of the surviving neuron i must be
-recomputed, which makes each step linear in the layer width after the
-argmin scan.
+Each step removes the neuron ``j`` whose removal cost ``values[i, j]`` is
+the smallest live off-diagonal entry, folding its outgoing coefficients
+into neuron ``i``. :func:`prune_one` is the reference step on an
+immutable :class:`SaliencyMatrix` and ``Network``. The loop behind
+:func:`prune_layer` makes the same choices in O(n^2) total work, from
+state private to one call:
+
+* the cost matrix is built once; incoming weights never change, so the
+  squared similarities stay valid, and a merge changes only the kept
+  neuron's outgoing factor, so only its column of costs moves;
+* each column caches its minimum and the row that holds it, so a step
+  takes the first column with the smallest cached minimum and rescans
+  only the kept neuron's column and the columns whose minimum sat in the
+  removed row;
+* removals are recorded on a live mask and one copy of the next layer's
+  weights, and the pruned ``Network`` is materialized once, at the end.
+  :func:`replay_trace` and ``training.trace_error_curve`` replay traces
+  on the same state, materializing only where a network is needed.
 
 Baseline policies for comparison runs:
 
@@ -29,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import Network, delete_neuron, merge_neurons
+from .network import FcLayer, Network, merge_neurons
 from .saliency import (
     DIAGONAL_SENTINEL,
     SaliencyMatrix,
@@ -211,49 +222,139 @@ def prune_one(
     return new_net, new_matrix, step
 
 
+def _check_prunable(net: Network, layer_index: int) -> None:
+    if not 0 <= layer_index < len(net.layers) - 1:
+        raise ValueError(
+            f"layer_index {layer_index} does not name a prunable layer; the "
+            f"output layer (index {len(net.layers) - 1}) cannot be pruned"
+        )
+
+
+class _EditState:
+    """Removals from one layer, applied in place and materialized on demand.
+
+    Holds the live mask (by original index) and one copy of the next
+    layer's weights, whose columns receive the merges; incoming weights
+    never change, so they are only filtered when a network is built.
+    """
+
+    def __init__(self, net: Network, layer_index: int):
+        _check_prunable(net, layer_index)
+        self.net = net
+        self.layer_index = layer_index
+        self.live = np.ones(net.layers[layer_index].n_out, dtype=bool)
+        self.next_weights = net.layers[layer_index + 1].weights.copy()
+
+    @classmethod
+    def for_trace(cls, net: Network, trace: PruneTrace) -> "_EditState":
+        state = cls(net, trace.layer_index)
+        if state.live.size != trace.n_original:
+            raise ValueError("trace was recorded for a layer of a different width")
+        return state
+
+    def apply(self, step: PruneStep) -> None:
+        """Merge ``removed`` into ``kept``, or plainly delete it when ``kept`` is None."""
+        if not self.live[step.removed]:
+            raise ValueError(f"trace removes neuron {step.removed} twice")
+        if step.kept is not None:
+            if not self.live[step.kept]:
+                raise ValueError(f"trace merges into already-removed neuron {step.kept}")
+            self.next_weights[:, step.kept] += self.next_weights[:, step.removed]
+        self.live[step.removed] = False
+
+    def network(self) -> Network:
+        if self.live.all():
+            return self.net
+        layer = self.net.layers[self.layer_index]
+        nxt = self.net.layers[self.layer_index + 1]
+        live = self.live
+        # compress keeps C order, as the per-step deletes did; indexing the
+        # columns with a mask would return a Fortran-ordered matrix.
+        return self.net.replace_adjacent(
+            self.layer_index,
+            FcLayer(layer.weights[live], layer.bias[live], layer.activation),
+            FcLayer(self.next_weights.compress(live, axis=1), nxt.bias, nxt.activation),
+        )
+
+
 def _run_saliency(
     net: Network, layer_index: int, count: int, cfg: SimilarityConfig
 ) -> tuple[Network, list[PruneStep]]:
+    """:func:`prune_one` ``count`` times over, with cached column minima.
+
+    Column ``c`` of the cost matrix is ``sim_sq[c] * msq[c]`` (``sim_sq`` is
+    symmetric) with dead rows and the diagonal at the sentinel, exactly the
+    entries :func:`prune_one` would hold. The minimum is taken over the
+    products, not over ``sim_sq`` alone, since factoring ``msq[c]`` out
+    rounds differently and could break ties the other way.
+    """
     matrix = build_saliency_matrix(
         net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
     )
+    sim_sq = matrix.sim_sq
+    msq = matrix.mean_sq_out.copy()
+    state = _EditState(net, layer_index)
+    live = state.live
+    best_row = matrix.values.argmin(axis=0)
+    best = matrix.values[best_row, np.arange(live.size)]
+    del matrix  # only sim_sq is needed from here; frees the n x n values
+
+    def rescan(columns: np.ndarray) -> None:
+        costs = np.where(live, sim_sq[columns] * msq[columns, None], DIAGONAL_SENTINEL)
+        at = np.arange(columns.size)
+        costs[at, columns] = DIAGONAL_SENTINEL
+        rows = costs.argmin(axis=1)
+        best_row[columns] = rows
+        best[columns] = costs[at, rows]
+
     steps = []
-    for _ in range(count):
-        net, matrix, step = prune_one(net, layer_index, matrix)
+    for step_number in range(1, count + 1):
+        j = int(np.argmin(best))  # first minimum, so ties go to the smallest removed index
+        i = int(best_row[j])
+        step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
         steps.append(step)
-    return net, steps
+        state.apply(step)
+        best[j] = np.inf
+        column = state.next_weights[:, i]
+        msq[i] = np.mean(column * column)
+        stale = live & (best_row == j)
+        stale[i] = True
+        rescan(np.flatnonzero(stale))
+    return state.network(), steps
 
 
 def _run_magnitude(
     net: Network, layer_index: int, count: int
 ) -> tuple[Network, list[PruneStep]]:
-    alive = list(range(net.layers[layer_index].n_out))
+    state = _EditState(net, layer_index)
+    weights = net.layers[layer_index].weights
     steps = []
     for step_number in range(1, count + 1):
-        layer = net.layers[layer_index]
-        nxt = net.layers[layer_index + 1]
-        scores = np.linalg.norm(layer.weights, axis=1) * np.linalg.norm(nxt.weights, axis=0)
-        k = int(np.argmin(scores))  # first minimum, so ties go to the smallest index
-        steps.append(
-            PruneStep(step_number=step_number, removed=alive[k], saliency=float(scores[k]))
+        live = state.live
+        scores = np.linalg.norm(weights[live], axis=1) * np.linalg.norm(
+            state.next_weights.compress(live, axis=1), axis=0
         )
-        net = delete_neuron(net, layer_index, k)
-        alive.pop(k)
-    return net, steps
+        k = int(np.argmin(scores))  # first minimum, so ties go to the smallest index
+        removed = int(np.flatnonzero(live)[k])
+        step = PruneStep(step_number=step_number, removed=removed, saliency=float(scores[k]))
+        steps.append(step)
+        state.apply(step)
+    return state.network(), steps
 
 
 def _run_random(
     net: Network, layer_index: int, count: int, seed: int
 ) -> tuple[Network, list[PruneStep]]:
     rng = np.random.default_rng(seed)
-    alive = list(range(net.layers[layer_index].n_out))
+    state = _EditState(net, layer_index)
     steps = []
     for step_number in range(1, count + 1):
-        k = int(rng.integers(len(alive)))
-        steps.append(PruneStep(step_number=step_number, removed=alive[k], saliency=0.0))
-        net = delete_neuron(net, layer_index, k)
-        alive.pop(k)
-    return net, steps
+        alive = np.flatnonzero(state.live)
+        removed = int(alive[rng.integers(alive.size)])
+        step = PruneStep(step_number=step_number, removed=removed, saliency=0.0)
+        steps.append(step)
+        state.apply(step)
+    return state.network(), steps
 
 
 def prune_layer(
@@ -266,11 +367,7 @@ def prune_layer(
     """Remove ``count`` neurons from one layer under the given policy."""
     if cfg is None:
         cfg = SimilarityConfig()
-    if not 0 <= layer_index < len(net.layers) - 1:
-        raise ValueError(
-            f"layer_index {layer_index} does not name a prunable layer; the "
-            f"output layer (index {len(net.layers) - 1}) cannot be pruned"
-        )
+    _check_prunable(net, layer_index)
     n_out = net.layers[layer_index].n_out
     if not 1 <= count <= n_out - 1:
         raise ValueError(
@@ -318,35 +415,17 @@ def replay_trace(net: Network, trace: PruneTrace, count: int | None = None) -> N
 
     Steps with a ``kept`` partner are merged, the rest plainly deleted,
     so a replayed prefix reproduces the pruned network exactly without
-    rebuilding any cost matrix. Original indices are mapped to physical
-    positions by tracking which neurons are still alive.
+    rebuilding any cost matrix. The removals are applied to one edit
+    state and the network is built once, at the end.
     """
     if count is None:
         count = len(trace.steps)
     if not 0 <= count <= len(trace.steps):
         raise ValueError(f"count must be in [0, {len(trace.steps)}]")
-    if net.layers[trace.layer_index].n_out != trace.n_original:
-        raise ValueError("trace was recorded for a layer of a different width")
-    live = np.ones(trace.n_original, dtype=bool)
+    state = _EditState.for_trace(net, trace)
     for step in trace.steps[:count]:
-        net = _apply_step(net, trace.layer_index, step, live)
-    return net
-
-
-def _apply_step(net: Network, layer_index: int, step: PruneStep, live: np.ndarray) -> Network:
-    """Apply one trace step; ``live`` (by original index) is updated in place."""
-    if not live[step.removed]:
-        raise ValueError(f"trace removes neuron {step.removed} twice")
-    removed_physical = int(np.count_nonzero(live[: step.removed]))
-    if step.kept is None:
-        net = delete_neuron(net, layer_index, removed_physical)
-    else:
-        if not live[step.kept]:
-            raise ValueError(f"trace merges into already-removed neuron {step.kept}")
-        kept_physical = int(np.count_nonzero(live[: step.kept]))
-        net = merge_neurons(net, layer_index, kept_physical, removed_physical)
-    live[step.removed] = False
-    return net
+        state.apply(step)
+    return state.network()
 
 
 def compression_percent(removed_params: float, total_params: float) -> float:

@@ -21,6 +21,12 @@ Two similarity measures are provided:
   weights, and two weight rows that differ only by a positive scale
   compute near-identical features; both effects make the raw distance a
   poor ranking. This measure is the default for pruning.
+
+:func:`build_saliency_matrix` is the one code path that scores pairs in
+bulk: it compares each row with every later row in blocks, using the
+same operations as the scalar functions. :func:`raw_difference`,
+:func:`heuristic_similarity` and :func:`similarity` are its reference;
+every matrix entry equals theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -210,18 +216,26 @@ def build_saliency_matrix(
     cfg: SimilarityConfig,
     layer_index: int = 0,
 ) -> SaliencyMatrix:
-    """Compute removal costs for every ordered pair of neurons in ``layer``."""
+    """Compute removal costs for every ordered pair of neurons in ``layer``.
+
+    Row ``i`` is scored against rows ``i+1..n-1`` a block at a time, with
+    direct differences rather than the ``|a|^2 + |b|^2 - 2a.b`` identity,
+    which loses precision on exactly the near-duplicate pairs the argmin
+    picks.
+    """
     if layer.n_out < 2:
         raise ValueError("need at least two neurons to rank pairs")
     if next_layer.n_in != layer.n_out:
         raise ValueError("next layer does not consume this layer's outputs")
     n = layer.n_out
-    sets = [layer.weight_set(k) for k in range(n)]
-    sim = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim[i, j] = sim[j, i] = similarity(sets[i], sets[j], cfg)
-    sim_sq = sim * sim
+    score = _pair_scorer(layer, cfg)
+    block = max(1, _BLOCK_BYTES // (8 * max(1, layer.n_in)))
+    sim_sq = np.zeros((n, n))
+    for i in range(n - 1):
+        for lo in range(i + 1, n, block):
+            hi = min(lo + block, n)
+            s = score(i, lo, hi)
+            sim_sq[i, lo:hi] = sim_sq[lo:hi, i] = s * s
     msq = np.array([mean_outgoing_square(next_layer, j) for j in range(n)])
     values = sim_sq * msq[None, :]
     np.fill_diagonal(values, DIAGONAL_SENTINEL)
@@ -232,6 +246,54 @@ def build_saliency_matrix(
         sim_sq=sim_sq,
         mean_sq_out=msq,
     )
+
+
+# Rows per block keep one (rows x n_in) temporary near 4 MB at any fan-in.
+_BLOCK_BYTES = 4 << 20
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    # A stacked matmul takes one BLAS dot per row, the call np.linalg.norm
+    # makes on one vector, so the results match it bit for bit; einsum and
+    # (rows * rows).sum(1) accumulate in another order.
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
+    """``score(i, lo, hi)``: :func:`similarity` of row ``i`` with rows ``lo..hi-1``."""
+    w, b = layer.weights, layer.bias
+    if cfg.mode is SimilarityMode.RAW_DIFFERENCE:
+
+        def raw(i, lo, hi):
+            db = b[i] - b[lo:hi]
+            # Python's float ** is libm pow, which differs from db * db in
+            # the last bit on some inputs; float_power calls the same pow.
+            bias_sq = np.float_power(db, np.full_like(db, 2.0))
+            return np.sqrt(_squared_norms(w[i] - w[lo:hi]) + bias_sq)
+
+        return raw
+    guard = cfg.denominator_guard
+    norms = np.sqrt(_squared_norms(w))
+    units = w / np.maximum(norms, guard)[:, None]
+    zero = (norms == 0.0) & (b == 0.0)
+    if np.count_nonzero(zero) >= 2:
+        warnings.warn(
+            "both weight-sets are all-zero; treating them as maximally similar",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    def heuristic(i, lo, hi):
+        weight_term = np.sqrt(_squared_norms(units[i] - units[lo:hi])) / np.maximum(
+            np.sqrt(_squared_norms(w[i] + w[lo:hi])), guard
+        )
+        bias_term = np.abs(b[i] - b[lo:hi]) / np.maximum(np.abs(b[i] + b[lo:hi]), guard)
+        s = weight_term + bias_term
+        if zero[i]:
+            s[zero[lo:hi]] = 0.0
+        return s
+
+    return heuristic
 
 
 @dataclass(frozen=True)

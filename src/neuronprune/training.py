@@ -18,7 +18,14 @@ import numpy as np
 
 from .data import Dataset
 from .network import Activation, FcLayer, Network, forward_batch
-from .pruning import PolicyKind, PrunePolicy, PruneTrace, _apply_step, prune_layer
+from .pruning import (
+    PolicyKind,
+    PrunePolicy,
+    PruneTrace,
+    _check_prunable,
+    _EditState,
+    prune_layer,
+)
 from .saliency import SimilarityConfig
 
 __all__ = [
@@ -171,21 +178,19 @@ def trace_error_curve(
 
     Returns (step, error) pairs starting at step 0 (the unpruned
     baseline). With ``eval_every`` > 1, only every k-th step is
-    measured; the final step is always included.
+    measured; the final step is always included. A network is built
+    only at the measured steps.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    if net.layers[trace.layer_index].n_out != trace.n_original:
-        raise ValueError("trace was recorded for a layer of a different width")
+    state = _EditState.for_trace(net, trace)
     total = len(trace.steps)
     curve = [(0, evaluate(net, ds, split)[1])]
     wanted = set(range(eval_every, total + 1, eval_every)) | ({total} if total else set())
-    live = np.ones(trace.n_original, dtype=bool)
-    current = net
     for done, step in enumerate(trace.steps, start=1):
-        current = _apply_step(current, trace.layer_index, step, live)
+        state.apply(step)
         if done in wanted:
-            curve.append((done, evaluate(current, ds, split)[1]))
+            curve.append((done, evaluate(state.network(), ds, split)[1]))
     return curve
 
 
@@ -204,6 +209,7 @@ def error_curve(
     removals one at a time, evaluating on the requested split. Returns
     (step, error) pairs beginning with the unpruned baseline at step 0.
     """
+    _check_prunable(net, layer_index)
     count = net.layers[layer_index].n_out - 1
     _, trace = prune_layer(net, layer_index, count, policy, cfg)
     return trace_error_curve(net, trace, ds, split, eval_every)
@@ -225,6 +231,7 @@ def compare_policies(
     so the saliency loop runs once. The random curve is the elementwise
     mean over ``random_seeds``, taken in seed order.
     """
+    _check_prunable(net, layer_index)
     seeds = tuple(random_seeds)
     if not seeds:
         raise ValueError("need at least one random seed")

@@ -6,6 +6,9 @@ codes and printed lines are asserted exactly as a shell user sees them.
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -260,6 +263,18 @@ class TestCutoff:
              "--model", str(model_file)]
         ) == 2
 
+    @pytest.mark.parametrize("layer_index", ["3", "-1"])
+    def test_data_driven_rejects_a_layer_the_model_lacks(
+        self, full_trace_file, model_file, layer_index
+    ):
+        code, _, err = run_cli(
+            ["cutoff", "--trace", str(full_trace_file), "--method", "data-driven",
+             "--layer-index", layer_index, "--model", str(model_file), *DATA_ARGS]
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "does not name a prunable layer" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_data_driven_reports_a_count_within_the_trace(
         self, full_trace_file, model_file
@@ -348,3 +363,26 @@ class TestCompare:
         rows = [line.split(",") for line in lines[1:]]
         got = [(int(r[0]), float(r[1])) for r in rows]
         assert got == [(step, err) for step, err in expected]
+
+    @pytest.mark.parametrize("layer_index", ["5", "1", "-1"])
+    def test_a_layer_that_cannot_be_pruned_is_a_runtime_failure(
+        self, model_file, tmp_path, layer_index
+    ):
+        code, _, err = run_cli(
+            ["compare", "--model", str(model_file), *DATA_ARGS,
+             "--layer-index", layer_index, "--out-dir", str(tmp_path / "curves")]
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "does not name a prunable layer" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "neuronprune", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: neuronprune")

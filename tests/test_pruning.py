@@ -23,6 +23,7 @@ from neuronprune import (
     forward_batch,
     layer_sizes,
     make_blobs,
+    merge_neurons,
     neuron_removal_params,
     param_count,
     prune_layer,
@@ -403,6 +404,126 @@ class TestReplayTrace:
         smaller = delete_neuron(net, 0, 0)
         with pytest.raises(ValueError):
             replay_trace(smaller, trace)
+
+
+def same_network(a, b):
+    """Bit-for-bit equality of every array, and the same memory order."""
+    assert len(a.layers) == len(b.layers)
+    for la, lb in zip(a.layers, b.layers):
+        assert la.activation is lb.activation
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+        assert la.weights.flags.c_contiguous == lb.weights.flags.c_contiguous
+    return True
+
+
+def reference_prune(net, layer_index, count, cfg):
+    """The removal loop as a fold of the public reference step."""
+    matrix = build_saliency_matrix(
+        net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
+    )
+    steps = []
+    for _ in range(count):
+        net, matrix, step = prune_one(net, layer_index, matrix)
+        steps.append(step)
+    return net, tuple(steps)
+
+
+def reference_replay(net, trace):
+    """A trace applied one merge_neurons/delete_neuron call at a time."""
+    alive = list(range(trace.n_original))
+    for step in trace.steps:
+        removed = alive.index(step.removed)
+        if step.kept is None:
+            net = delete_neuron(net, trace.layer_index, removed)
+        else:
+            net = merge_neurons(net, trace.layer_index, alive.index(step.kept), removed)
+        alive.remove(step.removed)
+    return net
+
+
+def tied_net(activation=Activation.SIGMOID):
+    """Four groups of four identical neurons plus two scaled copies."""
+    rng = np.random.default_rng(41)
+    w = np.repeat(rng.normal(size=(4, 5)), 4, axis=0)
+    b = np.repeat(rng.normal(size=4), 4)
+    w[[3, 9]] *= 0.5
+    b[[3, 9]] *= 0.5
+    return Network(
+        layers=(
+            FcLayer(w, b, activation),
+            FcLayer(rng.normal(size=(3, 16)), rng.normal(size=3), Activation.IDENTITY),
+        ),
+        input_dim=5,
+    )
+
+
+def all_equal_net():
+    return Network(
+        layers=(
+            FcLayer(np.full((9, 4), 0.5), np.full(9, -0.25), Activation.RELU),
+            FcLayer(np.ones((2, 9)), np.zeros(2), Activation.IDENTITY),
+        ),
+        input_dim=4,
+    )
+
+
+def three_layer_net():
+    rng = np.random.default_rng(43)
+    return Network(
+        layers=(
+            FcLayer(rng.normal(size=(7, 4)), rng.normal(size=7), Activation.RELU),
+            FcLayer(rng.normal(size=(11, 7)), rng.normal(size=11), Activation.SIGMOID),
+            FcLayer(rng.normal(size=(3, 11)), rng.normal(size=3), Activation.IDENTITY),
+        ),
+        input_dim=4,
+    )
+
+
+LOOP_CASES = {
+    "sigmoid": (seeded_net(33, hidden=15, activation=Activation.SIGMOID), 0),
+    "relu": (seeded_net(34, hidden=15, activation=Activation.RELU), 0),
+    "tied": (tied_net(), 0),
+    "all-equal": (all_equal_net(), 0),
+    "three-layer": (three_layer_net(), 1),
+}
+
+
+class TestFastLoopMatchesReference:
+    @pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0], ids=["one", "half", "full"])
+    def test_prune_layer_equals_iterated_prune_one(self, case, mode, share):
+        net, layer_index = LOOP_CASES[case]
+        width = net.layers[layer_index].n_out
+        count = max(1, round(share * (width - 1)))
+        cfg = SimilarityConfig(mode=mode)
+        pruned, trace = prune_layer(
+            net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+        )
+        want_net, want_steps = reference_prune(net, layer_index, count, cfg)
+        assert trace.steps == want_steps
+        assert same_network(pruned, want_net)
+
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [
+            (PolicyKind.SALIENCY_SURGERY, None),
+            (PolicyKind.SALIENCY_NO_SURGERY, None),
+            (PolicyKind.NAIVE_MAGNITUDE, None),
+            (PolicyKind.RANDOM, 5),
+        ],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_replay_equals_reference_fold(self, case, kind, seed):
+        net, layer_index = LOOP_CASES[case]
+        width = net.layers[layer_index].n_out
+        pruned, trace = prune_layer(net, layer_index, width - 1, PrunePolicy(kind, seed=seed))
+        assert same_network(pruned, reference_replay(net, trace))
+        assert same_network(replay_trace(net, trace), pruned)
+        partial = dataclasses.replace(trace, steps=trace.steps[: width // 2])
+        assert same_network(replay_trace(net, trace, width // 2), reference_replay(net, partial))
 
 
 class TestCompressionArithmetic:

@@ -174,6 +174,53 @@ class TestSaliencyMatrix:
                     want = mean_outgoing_square(nxt, j) * sim**2
                     assert m.values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+    @staticmethod
+    def assert_sim_sq_equals_scalar_reference(layer, nxt, cfg):
+        sets = [layer.weight_set(k) for k in range(layer.n_out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            m = build_saliency_matrix(layer, nxt, cfg)
+            for i, si in enumerate(sets):
+                for j, sj in enumerate(sets):
+                    s = 0.0 if i == j else similarity(si, sj, cfg)
+                    # The build squares by multiplication, as s ** 2 (libm
+                    # pow) can differ from s * s in the last bit.
+                    assert m.sim_sq[i, j] == s * s, (i, j)
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("d", [4, 60_000], ids=["narrow", "blocked"])
+    def test_sim_sq_equals_scalar_reference_bit_for_bit(self, cfg, d):
+        # 60k inputs make the build score each row in several blocks.
+        layer, nxt = seeded_pair_layer(11, n=12, d=d)
+        w = layer.weights.copy()
+        b = layer.bias.copy()
+        w[7], b[7] = w[2], b[2]
+        w[9], b[9] = 0.9 * w[4], 0.9 * b[4]
+        self.assert_sim_sq_equals_scalar_reference(FcLayer(w, b, layer.activation), nxt, cfg)
+
+    def test_raw_bias_term_squares_like_the_scalar_reference(self):
+        # Each of these differences squares to a different double under
+        # d ** 2 (libm pow, the scalar reference) than under d * d.
+        b = np.array([0.0, 2.759, 4.536, 7.964, 9.072, 12.457])
+        diffs = [bi - bj for bi in b for bj in b]
+        assert any(d**2 != d * d for d in diffs)
+        layer, nxt = seeded_pair_layer(12, n=b.size)
+        self.assert_sim_sq_equals_scalar_reference(
+            FcLayer(layer.weights, b, layer.activation), nxt, RAW
+        )
+
+    def test_all_zero_pair_warns_and_costs_nothing(self):
+        layer, nxt = seeded_pair_layer(13, n=6)
+        w = layer.weights.copy()
+        b = layer.bias.copy()
+        w[[1, 4]] = 0.0
+        b[[1, 4]] = 0.0
+        zeroed = FcLayer(w, b, layer.activation)
+        with pytest.warns(RuntimeWarning):
+            m = build_saliency_matrix(zeroed, nxt, HEUR)
+        assert m.sim_sq[1, 4] == m.sim_sq[4, 1] == 0.0
+        self.assert_sim_sq_equals_scalar_reference(zeroed, nxt, HEUR)
+
     def test_live_entries_nonnegative(self):
         layer, nxt = seeded_pair_layer(3, n=8)
         m = build_saliency_matrix(layer, nxt, HEUR)
