@@ -202,9 +202,9 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
                     saliency=float(parts[3]),
                 )
             )
+            errors.append(None if parts[4] == "" else float(parts[4]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        errors.append(None if parts[4] == "" else float(parts[4]))
     have_errors = [e for e in errors if e is not None]
     if have_errors and len(have_errors) != len(errors):
         raise ValueError(f"{path}: test_error must be filled for all steps or none")

@@ -4,12 +4,12 @@ Each step removes the neuron ``j`` whose removal cost ``values[i, j]`` is
 the smallest live off-diagonal entry, folding its outgoing coefficients
 into neuron ``i``. :func:`prune_one` is the reference step on an
 immutable :class:`SaliencyMatrix` and ``Network``. The loop behind
-:func:`prune_layer` makes the same choices in O(n^2) total work, from
-state private to one call:
+:func:`prune_layer` makes the same choices, through the same cost and
+tie-break helpers, in O(n^2) total work, from state private to one call:
 
-* the cost matrix is built once; incoming weights never change, so the
-  squared similarities stay valid, and a merge changes only the kept
-  neuron's outgoing factor, so only its column of costs moves;
+* the squared similarities are computed once, since incoming weights
+  never change; a merge changes only the kept neuron's outgoing factor,
+  so only its column of costs moves;
 * each column caches its minimum and the row that holds it, so a step
   takes the first column with the smallest cached minimum and rescans
   only the kept neuron's column and the columns whose minimum sat in the
@@ -42,12 +42,12 @@ import numpy as np
 
 from .network import FcLayer, Network, merge_neurons
 from .saliency import (
-    DIAGONAL_SENTINEL,
     SaliencyMatrix,
     SimilarityConfig,
     build_saliency_matrix,
     mean_outgoing_square,
 )
+from .saliency import _cheapest, _column_minima, _cost_columns
 
 __all__ = [
     "PolicyKind",
@@ -105,8 +105,8 @@ class PruneStep:
     def __post_init__(self):
         if self.step_number < 1:
             raise ValueError("step numbers start at 1")
-        if self.removed < 0:
-            raise ValueError("removed index must be nonnegative")
+        if self.removed < 0 or (self.kept is not None and self.kept < 0):
+            raise ValueError("removed and kept indices must be nonnegative")
         if self.kept is not None and self.kept == self.removed:
             raise ValueError("kept and removed neuron must differ")
         if not (math.isfinite(self.saliency) and self.saliency >= 0.0):
@@ -137,8 +137,8 @@ class PruneTrace:
         removed = [s.removed for s in self.steps]
         if len(set(removed)) != len(removed):
             raise ValueError("removed indices must be distinct")
-        if any(r >= self.n_original for r in removed):
-            raise ValueError("removed index outside the original layer")
+        if any(max(s.removed, s.kept or 0) >= self.n_original for s in self.steps):
+            raise ValueError("removed or kept index outside the original layer")
         numbers = [s.step_number for s in self.steps]
         if any(b <= a for a, b in zip(numbers, numbers[1:])):
             raise ValueError("step numbers must be strictly increasing")
@@ -175,13 +175,11 @@ class PruneTrace:
 def prune_one(
     net: Network, layer_index: int, matrix: SaliencyMatrix
 ) -> tuple[Network, SaliencyMatrix, PruneStep]:
-    """Remove the cheapest neuron with surgery and patch the cost matrix.
+    """Remove the cheapest neuron with surgery; the new matrix shares ``sim_sq``.
 
     Picks the smallest live off-diagonal entry (kept, removed), folds the
-    removed neuron's outgoing column into the kept one, deletes it, then
-    updates the matrix in place of a full rebuild: the removed row and
-    column are retired and only the kept neuron's column is recomputed,
-    since its outgoing factor is the only ingredient the merge changed.
+    removed neuron's outgoing column into the kept one and deletes it; of
+    the matrix, only the live mask and the kept neuron's factor change.
     """
     if matrix.layer_index != layer_index:
         raise ValueError("matrix was built for a different layer")
@@ -190,11 +188,11 @@ def prune_one(
     if matrix.n_live != net.layers[layer_index].n_out:
         raise ValueError("matrix live count does not match the layer width")
     i, j = matrix.argmin_live()
-    value = float(matrix.values[i, j])
+    costs = _cost_columns(matrix.sim_sq, matrix.mean_sq_out, matrix.live, np.array([j]))
     step = PruneStep(
         step_number=matrix.n_original - matrix.n_live + 1,
         removed=j,
-        saliency=value,
+        saliency=float(costs[0, i]),
         kept=i,
     )
     new_net = merge_neurons(
@@ -202,24 +200,10 @@ def prune_one(
     )
     live = matrix.live.copy()
     live[j] = False
-    values = matrix.values.copy()
-    values[j, :] = DIAGONAL_SENTINEL
-    values[:, j] = DIAGONAL_SENTINEL
     msq = matrix.mean_sq_out.copy()
     kept_physical = int(np.count_nonzero(live[:i]))
     msq[i] = mean_outgoing_square(new_net.layers[layer_index + 1], kept_physical)
-    column = matrix.sim_sq[:, i] * msq[i]
-    column[~live] = DIAGONAL_SENTINEL
-    column[i] = DIAGONAL_SENTINEL
-    values[:, i] = column
-    new_matrix = SaliencyMatrix(
-        values=values,
-        live=live,
-        layer_index=layer_index,
-        sim_sq=matrix.sim_sq,
-        mean_sq_out=msq,
-    )
-    return new_net, new_matrix, step
+    return new_net, replace(matrix, live=live, mean_sq_out=msq), step
 
 
 def _check_prunable(net: Network, layer_index: int) -> None:
@@ -280,14 +264,7 @@ class _EditState:
 def _run_saliency(
     net: Network, layer_index: int, count: int, cfg: SimilarityConfig
 ) -> tuple[Network, list[PruneStep]]:
-    """:func:`prune_one` ``count`` times over, with cached column minima.
-
-    Column ``c`` of the cost matrix is ``sim_sq[c] * msq[c]`` (``sim_sq`` is
-    symmetric) with dead rows and the diagonal at the sentinel, exactly the
-    entries :func:`prune_one` would hold. The minimum is taken over the
-    products, not over ``sim_sq`` alone, since factoring ``msq[c]`` out
-    rounds differently and could break ties the other way.
-    """
+    """:func:`prune_one` ``count`` times over, with cached column minima."""
     matrix = build_saliency_matrix(
         net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
     )
@@ -295,22 +272,11 @@ def _run_saliency(
     msq = matrix.mean_sq_out.copy()
     state = _EditState(net, layer_index)
     live = state.live
-    best_row = matrix.values.argmin(axis=0)
-    best = matrix.values[best_row, np.arange(live.size)]
-    del matrix  # only sim_sq is needed from here; frees the n x n values
-
-    def rescan(columns: np.ndarray) -> None:
-        costs = np.where(live, sim_sq[columns] * msq[columns, None], DIAGONAL_SENTINEL)
-        at = np.arange(columns.size)
-        costs[at, columns] = DIAGONAL_SENTINEL
-        rows = costs.argmin(axis=1)
-        best_row[columns] = rows
-        best[columns] = costs[at, rows]
-
+    # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
+    best_row, best = _column_minima(sim_sq, msq, live, np.arange(live.size))
     steps = []
     for step_number in range(1, count + 1):
-        j = int(np.argmin(best))  # first minimum, so ties go to the smallest removed index
-        i = int(best_row[j])
+        i, j = _cheapest(best_row, best)
         step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
         steps.append(step)
         state.apply(step)
@@ -319,7 +285,8 @@ def _run_saliency(
         msq[i] = np.mean(column * column)
         stale = live & (best_row == j)
         stale[i] = True
-        rescan(np.flatnonzero(stale))
+        columns = np.flatnonzero(stale)
+        best_row[columns], best[columns] = _column_minima(sim_sq, msq, live, columns)
     return state.network(), steps
 
 

@@ -1,4 +1,4 @@
-"""Weight-set similarity and the pairwise removal-cost matrix.
+"""Weight-set similarity and the pairwise removal costs.
 
 The cost of removing neuron ``j`` in favor of keeping neuron ``i`` is
 
@@ -26,7 +26,8 @@ Two similarity measures are provided:
 bulk: it compares each row with every later row in blocks, using the
 same operations as the scalar functions. :func:`raw_difference`,
 :func:`heuristic_similarity` and :func:`similarity` are its reference;
-every matrix entry equals theirs bit for bit.
+every matrix entry equals theirs bit for bit. The matrix stores no costs:
+private helpers shared with :mod:`.pruning` derive them and break ties.
 """
 
 from __future__ import annotations
@@ -143,48 +144,54 @@ def mean_outgoing_square(next_layer: FcLayer, j: int) -> float:
 class SaliencyMatrix:
     """Pairwise removal costs over a layer, in the layer's original numbering.
 
-    ``live`` masks the surviving neurons; rows/columns of removed neurons
-    and the diagonal hold :data:`DIAGONAL_SENTINEL` so they never win a
-    minimum scan. ``sim_sq`` caches the squared similarities, which depend
-    only on incoming weights and therefore stay valid across surgery;
-    ``mean_sq_out`` holds the per-neuron outgoing factor, the only part an
-    incremental update has to refresh.
+    ``live`` masks the surviving neurons. ``sim_sq`` caches the squared
+    similarities, which depend only on incoming weights and therefore stay
+    valid across surgery; ``mean_sq_out`` holds the per-neuron outgoing
+    factor, the only part a merge changes. A read-only float64 ``sim_sq``
+    owning its data, as the build and :func:`prune_one` pass, is shared
+    as it is; any other is copied and checked to be symmetric.
     """
 
-    values: np.ndarray
     live: np.ndarray
     layer_index: int
     sim_sq: np.ndarray
     mean_sq_out: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
         live = np.array(self.live, dtype=bool)
-        sim_sq = np.array(self.sim_sq, dtype=np.float64)
+        sim_sq = np.asarray(self.sim_sq)
+        shared = sim_sq.dtype == np.float64 and sim_sq.flags.owndata and not sim_sq.flags.writeable
+        if not shared:
+            sim_sq = np.array(sim_sq, dtype=np.float64)
         msq = np.array(self.mean_sq_out, dtype=np.float64)
-        n = values.shape[0]
-        if values.shape != (n, n) or sim_sq.shape != (n, n):
-            raise ValueError("values and sim_sq must be square matrices of equal size")
+        n = sim_sq.shape[0]
+        if sim_sq.shape != (n, n):
+            raise ValueError("sim_sq must be a square matrix")
+        if not (shared or np.array_equal(sim_sq, sim_sq.T)):
+            raise ValueError("sim_sq must be symmetric")
         if live.shape != (n,) or msq.shape != (n,):
             raise ValueError("live mask and outgoing factors must match the matrix size")
-        for arr in (values, live, sim_sq, msq):
+        for arr in (live, sim_sq, msq):
             arr.setflags(write=False)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "live", live)
         object.__setattr__(self, "sim_sq", sim_sq)
         object.__setattr__(self, "mean_sq_out", msq)
 
     @property
+    def values(self) -> np.ndarray:
+        """Costs ``sim_sq[i, j] * mean_sq_out[j]`` of live ``i != j``, else the sentinel."""
+        costs = _cost_columns(self.sim_sq, self.mean_sq_out, self.live, np.arange(self.n_original))
+        costs[~self.live] = DIAGONAL_SENTINEL
+        costs.setflags(write=False)
+        return costs.T
+
+    @property
     def n_original(self) -> int:
-        return self.values.shape[0]
+        return self.sim_sq.shape[0]
 
     @property
     def n_live(self) -> int:
         return int(np.count_nonzero(self.live))
-
-    def original_indices(self) -> np.ndarray:
-        """Original indices of the surviving neurons, ascending."""
-        return np.flatnonzero(self.live)
 
     def physical_index(self, original: int) -> int:
         """Position of a live neuron in the physically shrunken layer."""
@@ -198,16 +205,12 @@ class SaliencyMatrix:
         Ties are broken by the smallest removed index, then the smallest
         kept index, so repeated scans are fully deterministic.
         """
-        mask = np.outer(self.live, self.live)
-        np.fill_diagonal(mask, False)
-        if not mask.any():
+        columns = np.flatnonzero(self.live)
+        if columns.size < 2:
             raise ValueError("need at least two live neurons")
-        masked = np.where(mask, self.values, DIAGONAL_SENTINEL)
-        lowest = masked.min()
-        rows, cols = np.nonzero(masked == lowest)
-        j = int(cols.min())
-        i = int(rows[cols == j].min())
-        return i, j
+        rows, mins = _column_minima(self.sim_sq, self.mean_sq_out, self.live, columns)
+        kept, k = _cheapest(rows, mins)
+        return kept, int(columns[k])
 
 
 def build_saliency_matrix(
@@ -236,11 +239,9 @@ def build_saliency_matrix(
             hi = min(lo + block, n)
             s = score(i, lo, hi)
             sim_sq[i, lo:hi] = sim_sq[lo:hi, i] = s * s
+    sim_sq.setflags(write=False)  # so the matrix shares it
     msq = np.array([mean_outgoing_square(next_layer, j) for j in range(n)])
-    values = sim_sq * msq[None, :]
-    np.fill_diagonal(values, DIAGONAL_SENTINEL)
     return SaliencyMatrix(
-        values=values,
         live=np.ones(n, dtype=bool),
         layer_index=layer_index,
         sim_sq=sim_sq,
@@ -250,6 +251,31 @@ def build_saliency_matrix(
 
 # Rows per block keep one (rows x n_in) temporary near 4 MB at any fan-in.
 _BLOCK_BYTES = 4 << 20
+
+
+def _cost_columns(sim_sq, msq, live, columns) -> np.ndarray:
+    """Row ``k``: cost column ``columns[k]``, with dead rows and the diagonal at the sentinel."""
+    # Column c of sim_sq is read as row c, since the build makes it exactly symmetric.
+    costs = np.where(live, sim_sq[columns] * msq[columns, None], DIAGONAL_SENTINEL)
+    costs[np.arange(columns.size), columns] = DIAGONAL_SENTINEL
+    return costs
+
+
+def _column_minima(sim_sq, msq, live, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the first row holding its smallest cost, and that cost, in bounded blocks."""
+    block = max(1, _BLOCK_BYTES // (8 * live.size))
+    if columns.size > block:
+        parts = [_column_minima(sim_sq, msq, live, columns[lo : lo + block])
+                 for lo in range(0, columns.size, block)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    costs = _cost_columns(sim_sq, msq, live, columns)
+    return costs.argmin(axis=1), costs.min(axis=1)
+
+
+def _cheapest(rows, mins) -> tuple[int, int]:
+    """First smallest ``mins[k]`` as ``(rows[k], k)``: ties go to the least removed, then kept."""
+    k = int(np.argmin(mins))
+    return int(rows[k]), k
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:

@@ -288,6 +288,13 @@ class TestCutoff:
         predicted = int(stdout_value(out, "predicted_count"))
         assert 0 <= predicted <= 9
 
+    def test_unparsable_test_error_names_the_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("step,kept,removed,saliency,test_error\n1,1,0,0.5,abc\n")
+        code, _, err = run_cli(["cutoff", "--trace", str(bad)])
+        assert code == 1
+        assert f"{bad}:2:" in err
+
 
 class TestEval:
     def test_matches_in_memory_evaluation(self, model_file):
@@ -377,11 +384,12 @@ class TestCompare:
         assert "does not name a prunable layer" in err
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("module", ["neuronprune", "neuronprune.cli"])
+def test_python_dash_m_runs_the_cli(module):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-m", "neuronprune", "--help"],
+        [sys.executable, "-m", module, "--help"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Text serialization of networks, traces, curves, and cutoff reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,12 @@ class TestTraceCsv:
         p.write_text("step,removed,saliency\n1,0,0.5\n")
         with pytest.raises(ValueError):
             import_trace(p)
+
+    def test_import_rejects_negative_kept_with_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("step,kept,removed,saliency,test_error\n1,-1,0,0.5,\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2:")):
+            import_trace(p, n_original=4)
 
     def test_import_rejects_partial_error_column(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neuronprune.saliency as saliency
 from neuronprune import (
     Activation,
     FcLayer,
@@ -66,6 +67,10 @@ class TestStepAndTraceTypes:
         with pytest.raises(ValueError):
             PruneStep(step_number=1, removed=3, saliency=0.0, kept=3)
 
+    def test_step_rejects_negative_kept(self):
+        with pytest.raises(ValueError):
+            PruneStep(step_number=1, removed=0, saliency=0.0, kept=-1)
+
     def test_step_rejects_negative_saliency(self):
         with pytest.raises(ValueError):
             PruneStep(step_number=1, removed=0, saliency=-1e-9)
@@ -89,6 +94,11 @@ class TestStepAndTraceTypes:
         )
         with pytest.raises(ValueError):
             PruneTrace(layer_index=0, n_original=5, steps=steps)
+
+    def test_trace_rejects_kept_outside_the_layer(self):
+        steps = (PruneStep(step_number=1, removed=0, saliency=0.0, kept=7),)
+        with pytest.raises(ValueError, match="outside the original layer"):
+            PruneTrace(layer_index=0, n_original=4, steps=steps)
 
     def test_trace_cannot_exceed_layer_capacity(self):
         steps = tuple(PruneStep(step_number=k + 1, removed=k, saliency=0.0) for k in range(3))
@@ -504,6 +514,19 @@ class TestFastLoopMatchesReference:
         want_net, want_steps = reference_prune(net, layer_index, count, cfg)
         assert trace.steps == want_steps
         assert same_network(pruned, want_net)
+
+    @pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
+    def test_column_scans_in_many_blocks_change_nothing(self, mode, monkeypatch):
+        net, layer_index = LOOP_CASES["tied"]
+        cfg = SimilarityConfig(mode=mode)
+        policy = PrunePolicy(PolicyKind.SALIENCY_SURGERY)
+        want_net, want_trace = prune_layer(net, layer_index, 15, policy, cfg)
+        # Three columns a block: the first scan of all 16 columns takes six.
+        monkeypatch.setattr(saliency, "_BLOCK_BYTES", 3 * 8 * 16)
+        pruned, trace = prune_layer(net, layer_index, 15, policy, cfg)
+        assert trace == want_trace
+        assert same_network(pruned, want_net)
+        assert reference_prune(net, layer_index, 15, cfg)[1] == trace.steps
 
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Pair similarity, the removal-cost matrix, and its two numerical checks."""
 
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from neuronprune import (
     forward,
     mean_outgoing_square,
     merge_neurons,
+    prune_one,
     raw_difference,
     heuristic_similarity,
     similarity,
@@ -261,7 +263,6 @@ class TestSaliencyMatrix:
         live = m.live.copy()
         live[1] = False
         m2 = type(m)(
-            values=m.values,
             live=live,
             layer_index=m.layer_index,
             sim_sq=m.sim_sq,
@@ -272,6 +273,133 @@ class TestSaliencyMatrix:
         assert m2.physical_index(4) == 3
         with pytest.raises(ValueError):
             m2.physical_index(1)
+
+
+def net_of(layer, nxt):
+    return Network(layers=(layer, nxt), input_dim=layer.n_in)
+
+
+def all_equal_layer(seed):
+    layer, nxt = seeded_pair_layer(seed, n=7)
+    w = np.repeat(layer.weights[:1], 7, axis=0)
+    b = np.full(7, layer.bias[0])
+    return FcLayer(w, b, layer.activation), nxt
+
+
+def duplicate_heavy_layer(seed):
+    # Three groups of copies; the next layer repeats columns too, so whole
+    # blocks of costs tie exactly.
+    layer, nxt = seeded_pair_layer(seed, n=10)
+    groups = np.array([0, 1, 0, 2, 1, 0, 2, 2, 1, 0])
+    w, b = layer.weights[groups], layer.bias[groups]
+    a = nxt.weights[:, [0, 1, 0, 0, 2, 1, 0, 3, 1, 2]]
+    return FcLayer(w, b, layer.activation), FcLayer(a, nxt.bias, nxt.activation)
+
+
+def brute_force_argmin(m):
+    """Masked minimum of ``values``, then smallest removed, then smallest kept."""
+    n = m.n_original
+    mask = np.outer(m.live, m.live) & ~np.eye(n, dtype=bool)
+    values = m.values
+    lowest = values[mask].min()
+    removed, kept = min((j, i) for i, j in zip(*np.nonzero(mask & (values == lowest))))
+    return int(kept), int(removed)
+
+
+def prune_one_chain(layer, nxt, cfg):
+    """The matrix before every step of a prune-to-one by ``prune_one``."""
+    net = net_of(layer, nxt)
+    m = build_saliency_matrix(layer, nxt, cfg)
+    chain = [m]
+    while m.n_live > 2:
+        net, m, _ = prune_one(net, 0, m)
+        chain.append(m)
+    return chain
+
+
+class TestDerivedCosts:
+    CASES = {
+        "all-equal": all_equal_layer,
+        "duplicate-heavy": duplicate_heavy_layer,
+        "seeded": seeded_pair_layer,
+    }
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_argmin_live_equals_brute_force_tie_rule(self, case, cfg):
+        for m in prune_one_chain(*self.CASES[case](21), cfg):
+            assert m.argmin_live() == brute_force_argmin(m)
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_values_are_the_product_or_the_sentinel(self, case, cfg):
+        for m in prune_one_chain(*self.CASES[case](22), cfg):
+            n = m.n_original
+            values = m.values
+            assert values.shape == (n, n)
+            assert not values.flags.writeable
+            for i in range(n):
+                for j in range(n):
+                    if m.live[i] and m.live[j] and i != j:
+                        assert values[i, j] == m.sim_sq[i, j] * m.mean_sq_out[j]
+                    else:
+                        assert values[i, j] == DIAGONAL_SENTINEL
+
+
+class TestStorage:
+    def test_build_peak_holds_one_matrix(self):
+        n = 512
+        layer, nxt = seeded_pair_layer(23, n=n, d=16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            m = build_saliency_matrix(layer, nxt, HEUR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.sim_sq.shape == (n, n)
+        assert peak - base < 1.5 * n * n * 8
+
+    def test_prune_one_shares_sim_sq_with_its_input(self):
+        layer, nxt = seeded_pair_layer(24, n=6)
+        m = build_saliency_matrix(layer, nxt, HEUR)
+        _, m2, _ = prune_one(net_of(layer, nxt), 0, m)
+        assert np.shares_memory(m2.sim_sq, m.sim_sq)
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_later_writes_to_the_input_do_not_reach_the_matrix(self, read_only_view):
+        layer, nxt = seeded_pair_layer(25, n=6)
+        m = build_saliency_matrix(layer, nxt, HEUR)
+        source = np.array(m.sim_sq)
+        given_sim_sq = source
+        if read_only_view:
+            given_sim_sq = source.view()
+            given_sim_sq.setflags(write=False)
+        m2 = type(m)(
+            live=m.live,
+            layer_index=m.layer_index,
+            sim_sq=given_sim_sq,
+            mean_sq_out=m.mean_sq_out,
+        )
+        before = m2.values.copy()
+        source[:] = 7.0
+        np.testing.assert_array_equal(m2.sim_sq, m.sim_sq)
+        np.testing.assert_array_equal(m2.values, before)
+
+
+    def test_an_asymmetric_sim_sq_is_rejected(self):
+        layer, nxt = seeded_pair_layer(26, n=4)
+        m = build_saliency_matrix(layer, nxt, HEUR)
+        sim_sq = np.array(m.sim_sq)
+        sim_sq[0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            type(m)(
+                live=m.live,
+                layer_index=m.layer_index,
+                sim_sq=sim_sq,
+                mean_sq_out=m.mean_sq_out,
+            )
 
 
 class TestContraction:
