@@ -136,6 +136,32 @@ def make_blobs(
     )
 
 
+def _first_bad_line(path, has_header: bool) -> str | None:
+    """``path:line: problem`` for the first row ``np.loadtxt`` cannot read.
+
+    Lines count from 1 and include the header. Blank lines and ``#``
+    comments are skipped, as ``np.loadtxt`` skips them. Returns None when
+    every row parses.
+    """
+    width = None
+    with open(path) as fh:
+        for line_number, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if (has_header and line_number == 1) or not text:
+                continue
+            fields = text.split(",")
+            if width is None:
+                width = len(fields)
+            if len(fields) != width:
+                return f"{path}:{line_number}: expected {width} columns, found {len(fields)}"
+            for column, field in enumerate(fields, start=1):
+                try:
+                    float(field)
+                except ValueError:
+                    return f"{path}:{line_number}: column {column} is not a number: {field!r}"
+    return None
+
+
 def load_csv(
     path,
     has_header: bool = False,
@@ -150,7 +176,10 @@ def load_csv(
     using statistics of the train split only, so no information leaks
     from validation or test rows into preprocessing.
     """
-    raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(_first_bad_line(path, has_header) or f"{path}: {exc}") from None
     if raw.shape[1] < 2:
         raise ValueError(f"{path}: need at least one feature column and a label column")
     features = raw[:, :-1]

@@ -203,8 +203,17 @@ def forward_batch(net: Network, X) -> np.ndarray:
         raise ValueError(f"batch must have shape (n, {net.input_dim})")
     if not np.all(np.isfinite(X)):
         raise ValueError("input values must be finite")
-    A = X
-    for layer in net.layers:
+    return _run_layers(net.layers, X)
+
+
+def _run_layers(layers, A: np.ndarray) -> np.ndarray:
+    """Apply ``layers`` in order to the rows of ``A``, without validation.
+
+    The one batch layer stack: :func:`forward_batch` runs it on the whole
+    network, while the incremental error curve and the removal bound run
+    it on a prefix or a tail of the layers.
+    """
+    for layer in layers:
         A = layer.activation.apply(A @ layer.weights.T + layer.bias)
     return A
 

@@ -16,8 +16,10 @@ tie-break helpers, in O(n^2) total work, from state private to one call:
   removed row;
 * removals are recorded on a live mask and one copy of the next layer's
   weights, and the pruned ``Network`` is materialized once, at the end.
-  :func:`replay_trace` and ``training.trace_error_curve`` replay traces
-  on the same state, materializing only where a network is needed.
+  :func:`replay_trace` replays a trace on the same state.
+  ``training.trace_error_curve`` applies each step to it too, but builds
+  no network: it reads the removed neuron's outgoing column from the
+  state and updates cached next-layer pre-activations by a rank-one term.
 
 Baseline policies for comparison runs:
 

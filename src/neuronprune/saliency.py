@@ -43,6 +43,7 @@ from .network import (
     FcLayer,
     Network,
     WeightSet,
+    _run_layers,
     forward,
     merge_neurons,
 )
@@ -195,6 +196,10 @@ class SaliencyMatrix:
 
     def physical_index(self, original: int) -> int:
         """Position of a live neuron in the physically shrunken layer."""
+        if not 0 <= original < self.n_original:
+            raise ValueError(
+                f"neuron index {original} out of range for a layer of {self.n_original}"
+            )
         if not self.live[original]:
             raise ValueError(f"neuron {original} is no longer live")
         return int(np.count_nonzero(self.live[:original]))
@@ -430,9 +435,7 @@ def verify_bound(
         gap_sq = float(np.mean((z_full - z_pruned) ** 2))
         # The ceiling is stated in terms of the merged layer's own input,
         # which for deeper nets is the activation of the previous layer.
-        layer_input = x
-        for earlier in net.layers[:layer_index]:
-            layer_input = earlier.activation.apply(earlier.weights @ layer_input + earlier.bias)
+        layer_input = _run_layers(net.layers[:layer_index], x[None, :])[0]
         bound = a_sq * eps * eps * (float(np.dot(layer_input, layer_input)) + 1.0)
         samples.append(
             BoundSample(x=x, z_full=z_full, z_pruned=z_pruned, gap_sq=gap_sq, bound_value=bound)

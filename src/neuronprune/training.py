@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .network import Activation, FcLayer, Network, forward_batch
+from .network import Activation, FcLayer, Network, _run_layers, forward_batch
 from .pruning import (
     PolicyKind,
     PrunePolicy,
@@ -156,15 +156,49 @@ def train(ds: Dataset, cfg: TrainConfig) -> Network:
     )
 
 
+def _accuracy_and_error(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Accuracy and error of argmax predictions, in percent."""
+    predictions = np.argmax(logits, axis=1)  # first maximum, so ties pick the smallest class
+    accuracy = 100.0 * float(np.mean(predictions == labels))
+    return accuracy, 100.0 - accuracy
+
+
 def evaluate(net: Network, ds: Dataset, split: str = "test") -> tuple[float, float]:
     """Accuracy and error of argmax predictions on one split, in percent."""
     x, y = ds.split(split)
     if len(y) == 0:
         raise ValueError(f"{split} split is empty")
-    logits = forward_batch(net, x)
-    predictions = np.argmax(logits, axis=1)  # first maximum, so ties pick the smallest class
-    accuracy = 100.0 * float(np.mean(predictions == y))
-    return accuracy, 100.0 - accuracy
+    return _accuracy_and_error(forward_batch(net, x), y)
+
+
+def _trace_logits(net: Network, trace: PruneTrace, x: np.ndarray, eval_every: int):
+    """Yield ``(step, logits)`` after each measured removal of ``trace``.
+
+    A merge or a delete leaves the pruned layer's activations ``H``
+    unchanged, so they and the next layer's pre-activations are computed
+    once. With ``a`` the removed neuron's outgoing column, merging ``j``
+    into ``i`` then adds ``outer(H[:, i] - H[:, j], a)`` to the
+    pre-activations and deleting ``j`` subtracts ``outer(H[:, j], a)``.
+    Only measured steps (every ``eval_every``-th and the last) run the
+    layers downstream. ``x`` is taken as valid; no ``Network`` is built.
+    A yielded array can be the kernel's own buffer, which the next step
+    updates in place.
+    """
+    state = _EditState.for_trace(net, trace)
+    k = trace.layer_index
+    nxt = net.layers[k + 1]
+    hidden = _run_layers(net.layers[: k + 1], x)
+    pre = hidden @ nxt.weights.T + nxt.bias
+    total = len(trace.steps)
+    for done, step in enumerate(trace.steps, start=1):
+        state.apply(step)
+        # apply folded column j into column i but left column j as it was
+        h = hidden[:, step.removed]
+        if step.kept is not None:
+            h = h - hidden[:, step.kept]
+        pre -= np.multiply.outer(h, state.next_weights[:, step.removed])
+        if done % eval_every == 0 or done == total:
+            yield done, _run_layers(net.layers[k + 2 :], nxt.activation.apply(pre))
 
 
 def trace_error_curve(
@@ -174,23 +208,20 @@ def trace_error_curve(
     split: str = "test",
     eval_every: int = 1,
 ) -> list[tuple[int, float]]:
-    """Error after each recorded removal, replayed incrementally.
+    """Error after each recorded removal, from cached activations.
 
     Returns (step, error) pairs starting at step 0 (the unpruned
-    baseline). With ``eval_every`` > 1, only every k-th step is
-    measured; the final step is always included. A network is built
-    only at the measured steps.
+    baseline, from :func:`evaluate`). With ``eval_every`` > 1, only every
+    k-th step is measured; the final step is always included. Later
+    steps update the next layer's pre-activations by one rank-one term
+    per removal (see ``_trace_logits``) instead of building a network.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    state = _EditState.for_trace(net, trace)
-    total = len(trace.steps)
     curve = [(0, evaluate(net, ds, split)[1])]
-    wanted = set(range(eval_every, total + 1, eval_every)) | ({total} if total else set())
-    for done, step in enumerate(trace.steps, start=1):
-        state.apply(step)
-        if done in wanted:
-            curve.append((done, evaluate(state.network(), ds, split)[1]))
+    x, y = ds.split(split)
+    for done, logits in _trace_logits(net, trace, x, eval_every):
+        curve.append((done, _accuracy_and_error(logits, y)[1]))
     return curve
 
 

@@ -320,6 +320,13 @@ class TestEval:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_unparsable_data_file_names_the_line(self, model_file, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2,3,4,5,6,7,8,0\n1,2,abc,4,5,6,7,8,1\n")
+        code, _, err = run_cli(["eval", "--model", str(model_file), "--data", str(bad)])
+        assert code == 1
+        assert f"{bad}:2:" in err
+
 
 class TestCompare:
     def test_emits_one_aligned_curve_per_policy(self, model_file, tmp_path):

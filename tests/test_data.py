@@ -1,5 +1,7 @@
 """Synthetic blob generator and CSV ingestion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,24 @@ class TestLoadCsv:
         p.write_text("1.0,2.0,0.5\n2.0,1.0,1\n")
         with pytest.raises(ValueError):
             load_csv(p)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_unparsable_cell_names_its_line(self, tmp_path, has_header):
+        p = tmp_path / "bad.csv"
+        header = "f0,f1,label\n" if has_header else ""
+        p.write_text(header + "1.0,2.0,0\n3.0,abc,1\n")
+        line = 3 if has_header else 2
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: column 2 .*'abc'"):
+            load_csv(p, has_header=has_header)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_ragged_row_names_its_line(self, tmp_path, has_header):
+        p = tmp_path / "ragged.csv"
+        header = "f0,f1,label\n" if has_header else ""
+        p.write_text(header + "1.0,2.0,0\n\n3.0,1.0,1\n4.0,1\n")
+        line = 5 if has_header else 4
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: expected 3 columns, found 2$"):
+            load_csv(p, has_header=has_header)
 
     def test_split_seed_controls_partition(self, tmp_path):
         p = tmp_path / "data.csv"

@@ -274,6 +274,13 @@ class TestSaliencyMatrix:
         with pytest.raises(ValueError):
             m2.physical_index(1)
 
+    @pytest.mark.parametrize("original", [-1, 4])
+    def test_physical_index_rejects_indices_outside_the_layer(self, original):
+        layer, nxt = seeded_pair_layer(5, n=4)
+        m = build_saliency_matrix(layer, nxt, HEUR)
+        with pytest.raises(ValueError, match="out of range"):
+            m.physical_index(original)
+
 
 def net_of(layer, nxt):
     return Network(layers=(layer, nxt), input_dim=layer.n_in)
@@ -486,6 +493,21 @@ class TestOutputGapBound:
         for s, x in zip(samples, xs):
             want = float(np.mean((forward(net, x) - forward(merged, x)) ** 2))
             assert s.gap_sq == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_deeper_layer_bound_uses_its_own_input(self):
+        rng = np.random.default_rng(41)
+        first = FcLayer(rng.normal(size=(6, 10)) / np.sqrt(10), rng.normal(0, 0.1, 6), Activation.RELU)
+        inner, out = self.seeded_net(41).layers
+        inner = FcLayer(inner.weights[:, :6], inner.bias, inner.activation)
+        net = Network(layers=(first, inner, out), input_dim=10)
+        xs = rng.normal(size=(20, 10))
+        samples = verify_bound(net, 1, 2, 5, xs)
+        eps = raw_difference(inner.weight_set(2), inner.weight_set(5))
+        a_sq = mean_outgoing_square(out, 5)
+        for s, x in zip(samples, xs):
+            h = np.maximum(first.weights @ x + first.bias, 0.0)
+            assert s.bound_value == pytest.approx(a_sq * eps * eps * (h @ h + 1.0), rel=1e-12)
+            assert s.holds
 
     def test_heuristic_mode_rejected(self):
         net = self.seeded_net(0)

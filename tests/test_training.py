@@ -24,6 +24,7 @@ from neuronprune import (
     trace_error_curve,
     train,
 )
+from neuronprune.training import _trace_logits
 from conftest import mean_curve
 
 
@@ -261,6 +262,80 @@ class TestErrorCurves:
         _, trace = prune_layer(wide, 0, 4, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
         with pytest.raises(ValueError):
             trace_error_curve(narrow, trace, ds)
+
+
+def three_layer_net(seed, d=6, widths=(9, 7), n_classes=3):
+    rng = np.random.default_rng(seed)
+    sizes = (d, *widths, n_classes)
+    acts = (Activation.RELU, Activation.SIGMOID, Activation.IDENTITY)
+    layers = tuple(
+        FcLayer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out), act)
+        for n_in, n_out, act in zip(sizes, sizes[1:], acts)
+    )
+    return Network(layers=layers, input_dim=d)
+
+
+def kernel_case(name):
+    """(network, layer index, dataset) for one kernel test case."""
+    ds = make_blobs(n_samples=300, n_features=6, n_classes=3, seed=21)
+    if name == "three-layer-0":
+        return three_layer_net(21), 0, ds
+    if name == "three-layer-1":
+        return three_layer_net(22), 1, ds
+    act = Activation.SIGMOID if name == "sigmoid" else Activation.RELU
+    return train(ds, TrainConfig(hidden_units=9, epochs=5, activation=act, seed=21)), 0, ds
+
+
+def assert_kernel_matches_replay(net, trace, ds, eval_every):
+    x, _ = ds.split("test")
+    measured = []
+    for step, logits in _trace_logits(net, trace, x, eval_every):
+        expected = forward_batch(replay_trace(net, trace, step), x)
+        assert np.max(np.abs(logits - expected)) <= 1e-12 * np.max(np.abs(expected))
+        measured.append(step)
+    curve = trace_error_curve(net, trace, ds, eval_every=eval_every)
+    assert [step for step, _ in curve] == [0, *measured]
+    for step, err in curve:
+        assert err == evaluate(replay_trace(net, trace, step), ds)[1]
+
+
+class TestIncrementalCurveKernel:
+    """The rank-one curve kernel against a full forward pass of each replay."""
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("case", ["sigmoid", "relu", "three-layer-0", "three-layer-1"])
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_logits_and_errors_match_replay(self, kind, case, eval_every):
+        net, layer_index, ds = kernel_case(case)
+        policy = PrunePolicy(kind, seed=3 if kind is PolicyKind.RANDOM else None)
+        count = net.layers[layer_index].n_out - 1
+        _, trace = prune_layer(net, layer_index, count, policy)
+        assert_kernel_matches_replay(net, trace, ds, eval_every)
+
+    def test_long_trace_does_not_drift(self):
+        rng = np.random.default_rng(23)
+        width = 600
+        net = Network(
+            layers=(
+                FcLayer(rng.normal(size=(width, 6)), rng.normal(size=width), Activation.RELU),
+                FcLayer(rng.normal(size=(3, width)), rng.normal(size=3), Activation.IDENTITY),
+            ),
+            input_dim=6,
+        )
+        ds = make_blobs(n_samples=300, n_features=6, n_classes=3, seed=23)
+        _, trace = prune_layer(net, 0, width - 1, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        assert len(trace) >= 512
+        assert_kernel_matches_replay(net, trace, ds, eval_every=1)
+
+    def test_builds_no_network(self, monkeypatch):
+        net, _, ds = kernel_case("relu")
+        _, trace = prune_layer(net, 0, 8, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+
+        def refuse(self):
+            raise AssertionError("the curve kernel built a Network")
+
+        monkeypatch.setattr(Network, "__post_init__", refuse)
+        assert len(trace_error_curve(net, trace, ds)) == 9
 
 
 class TestTrainedFixtureBehavior:
