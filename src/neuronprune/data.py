@@ -136,29 +136,42 @@ def make_blobs(
     )
 
 
-def _first_bad_line(path, has_header: bool) -> str | None:
-    """``path:line: problem`` for the first row ``np.loadtxt`` cannot read.
+def _data_rows(path, has_header: bool):
+    """``(line_number, fields)`` for each row ``np.loadtxt`` reads, in order.
 
     Lines count from 1 and include the header. Blank lines and ``#``
-    comments are skipped, as ``np.loadtxt`` skips them. Returns None when
-    every row parses.
+    comments are skipped, as ``np.loadtxt`` skips them.
     """
-    width = None
     with open(path) as fh:
         for line_number, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if (has_header and line_number == 1) or not text:
                 continue
-            fields = text.split(",")
-            if width is None:
-                width = len(fields)
-            if len(fields) != width:
-                return f"{path}:{line_number}: expected {width} columns, found {len(fields)}"
-            for column, field in enumerate(fields, start=1):
-                try:
-                    float(field)
-                except ValueError:
-                    return f"{path}:{line_number}: column {column} is not a number: {field!r}"
+            yield line_number, text.split(",")
+
+
+def _first_bad_line(path, has_header: bool) -> str | None:
+    """``path:line: problem`` for the first row ``np.loadtxt`` cannot read, or None."""
+    width = None
+    for line_number, fields in _data_rows(path, has_header):
+        if width is None:
+            width = len(fields)
+        if len(fields) != width:
+            return f"{path}:{line_number}: expected {width} columns, found {len(fields)}"
+        for column, field in enumerate(fields, start=1):
+            try:
+                float(field)
+            except ValueError:
+                return f"{path}:{line_number}: column {column} is not a number: {field!r}"
+    return None
+
+
+def _bad_label_line(path, has_header: bool, row: int) -> str | None:
+    """``path:line: problem`` for data row ``row`` (from 0), whose label is no class index."""
+    for k, (line_number, fields) in enumerate(_data_rows(path, has_header)):
+        if k == row:
+            label = fields[-1].strip()
+            return f"{path}:{line_number}: label must be a nonnegative integer, found {label!r}"
     return None
 
 
@@ -184,9 +197,14 @@ def load_csv(
         raise ValueError(f"{path}: need at least one feature column and a label column")
     features = raw[:, :-1]
     labels_raw = raw[:, -1]
-    labels = labels_raw.astype(np.int64)
-    if np.any(labels != labels_raw):
-        raise ValueError(f"{path}: label column must hold integers")
+    with np.errstate(invalid="ignore"):
+        labels = labels_raw.astype(np.int64)
+    bad = np.flatnonzero((labels != labels_raw) | (labels_raw < 0))
+    if bad.size:
+        raise ValueError(
+            _bad_label_line(path, has_header, int(bad[0]))
+            or f"{path}: label must be a nonnegative integer"
+        )
     rng = np.random.default_rng(seed)
     train_idx, val_idx, test_idx = _split_indices(len(labels), fractions, rng)
     if standardize:

@@ -7,13 +7,17 @@ immutable :class:`SaliencyMatrix` and ``Network``. The loop behind
 :func:`prune_layer` makes the same choices, through the same cost and
 tie-break helpers, in O(n^2) total work, from state private to one call:
 
-* the squared similarities are computed once, since incoming weights
-  never change; a merge changes only the kept neuron's outgoing factor,
-  so only its column of costs moves;
-* each column caches its minimum and the row that holds it, so a step
-  takes the first column with the smallest cached minimum and rescans
-  only the kept neuron's column and the columns whose minimum sat in the
-  removed row;
+* one Gram product gives a certified lower bound on every squared
+  similarity, and a pair is scored exactly only when its bound could
+  still beat a column's cheapest exact cost; an exact score replaces the
+  bound for good, since incoming weights never change. Every choice and
+  every recorded cost is therefore exact, as if from the full matrix;
+* a merge changes only the kept neuron's outgoing factor, so only its
+  column of costs moves;
+* each column caches its exact minimum and the row that holds it, so a
+  step takes the first column with the smallest cached minimum and
+  rescans only the kept neuron's column and the columns whose minimum
+  sat in the removed row;
 * removals are recorded on a live mask and one copy of the next layer's
   weights, and the pruned ``Network`` is materialized once, at the end.
   :func:`replay_trace` replays a trace on the same state.
@@ -43,13 +47,8 @@ from enum import Enum
 import numpy as np
 
 from .network import FcLayer, Network, merge_neurons
-from .saliency import (
-    SaliencyMatrix,
-    SimilarityConfig,
-    build_saliency_matrix,
-    mean_outgoing_square,
-)
-from .saliency import _cheapest, _column_minima, _cost_columns
+from .saliency import SaliencyMatrix, SimilarityConfig, mean_outgoing_square
+from .saliency import _cheapest, _cost_columns, _CertifiedCosts
 
 __all__ = [
     "PolicyKind",
@@ -266,16 +265,14 @@ class _EditState:
 def _run_saliency(
     net: Network, layer_index: int, count: int, cfg: SimilarityConfig
 ) -> tuple[Network, list[PruneStep]]:
-    """:func:`prune_one` ``count`` times over, with cached column minima."""
-    matrix = build_saliency_matrix(
-        net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
-    )
-    sim_sq = matrix.sim_sq
-    msq = matrix.mean_sq_out.copy()
+    """:func:`prune_one` ``count`` times over, with cached exact column minima."""
+    layer, nxt = net.layers[layer_index], net.layers[layer_index + 1]
+    costs = _CertifiedCosts(layer, cfg)
+    msq = np.array([mean_outgoing_square(nxt, j) for j in range(layer.n_out)])
     state = _EditState(net, layer_index)
     live = state.live
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
-    best_row, best = _column_minima(sim_sq, msq, live, np.arange(live.size))
+    best_row, best = costs.column_minima(msq, live, np.arange(live.size))
     steps = []
     for step_number in range(1, count + 1):
         i, j = _cheapest(best_row, best)
@@ -288,7 +285,7 @@ def _run_saliency(
         stale = live & (best_row == j)
         stale[i] = True
         columns = np.flatnonzero(stale)
-        best_row[columns], best[columns] = _column_minima(sim_sq, msq, live, columns)
+        best_row[columns], best[columns] = costs.column_minima(msq, live, columns)
     return state.network(), steps
 
 

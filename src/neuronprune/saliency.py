@@ -22,12 +22,14 @@ Two similarity measures are provided:
   compute near-identical features; both effects make the raw distance a
   poor ranking. This measure is the default for pruning.
 
-:func:`build_saliency_matrix` is the one code path that scores pairs in
-bulk: it compares each row with every later row in blocks, using the
-same operations as the scalar functions. :func:`raw_difference`,
-:func:`heuristic_similarity` and :func:`similarity` are its reference;
-every matrix entry equals theirs bit for bit. The matrix stores no costs:
-private helpers shared with :mod:`.pruning` derive them and break ties.
+One private scorer gives the exact similarity of any set of pairs, with
+the same operations as the scalar functions :func:`raw_difference`,
+:func:`heuristic_similarity` and :func:`similarity`, bit for bit.
+:func:`build_saliency_matrix` runs it on every pair and is the public
+exact reference. The loop behind ``pruning.prune_layer`` runs it only on
+the pairs that certified lower bounds from one Gram product cannot rule
+out. The matrix stores no costs: private helpers shared with
+:mod:`.pruning` derive them and break ties.
 """
 
 from __future__ import annotations
@@ -227,9 +229,10 @@ def build_saliency_matrix(
     """Compute removal costs for every ordered pair of neurons in ``layer``.
 
     Row ``i`` is scored against rows ``i+1..n-1`` a block at a time, with
-    direct differences rather than the ``|a|^2 + |b|^2 - 2a.b`` identity,
-    which loses precision on exactly the near-duplicate pairs the argmin
-    picks.
+    direct differences. The ``|a|^2 + |b|^2 - 2a.b`` identity loses
+    precision on exactly the near-duplicate pairs the argmin picks, so it
+    is used only as a certified lower bound that picks which pairs to
+    score (:func:`_sim_sq_lower_bounds`), never as an answer.
     """
     if layer.n_out < 2:
         raise ValueError("need at least two neurons to rank pairs")
@@ -242,7 +245,7 @@ def build_saliency_matrix(
     for i in range(n - 1):
         for lo in range(i + 1, n, block):
             hi = min(lo + block, n)
-            s = score(i, lo, hi)
+            s = score(i, slice(lo, hi))
             sim_sq[i, lo:hi] = sim_sq[lo:hi, i] = s * s
     sim_sq.setflags(write=False)  # so the matrix shares it
     msq = np.array([mean_outgoing_square(next_layer, j) for j in range(n)])
@@ -291,16 +294,21 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
-    """``score(i, lo, hi)``: :func:`similarity` of row ``i`` with rows ``lo..hi-1``."""
+    """``score(a, b)``: :func:`similarity` of rows ``a`` and ``b``, pair by pair.
+
+    ``a`` and ``b`` are row indices, index arrays or slices that broadcast
+    together. Each pair takes one BLAS dot per difference, so a score does
+    not depend on which other pairs share the call.
+    """
     w, b = layer.weights, layer.bias
     if cfg.mode is SimilarityMode.RAW_DIFFERENCE:
 
-        def raw(i, lo, hi):
-            db = b[i] - b[lo:hi]
+        def raw(a, rows):
+            db = b[a] - b[rows]
             # Python's float ** is libm pow, which differs from db * db in
             # the last bit on some inputs; float_power calls the same pow.
             bias_sq = np.float_power(db, np.full_like(db, 2.0))
-            return np.sqrt(_squared_norms(w[i] - w[lo:hi]) + bias_sq)
+            return np.sqrt(_squared_norms(w[a] - w[rows]) + bias_sq)
 
         return raw
     guard = cfg.denominator_guard
@@ -314,17 +322,167 @@ def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
             stacklevel=3,
         )
 
-    def heuristic(i, lo, hi):
-        weight_term = np.sqrt(_squared_norms(units[i] - units[lo:hi])) / np.maximum(
-            np.sqrt(_squared_norms(w[i] + w[lo:hi])), guard
+    def heuristic(a, rows):
+        weight_term = np.sqrt(_squared_norms(units[a] - units[rows])) / np.maximum(
+            np.sqrt(_squared_norms(w[a] + w[rows])), guard
         )
-        bias_term = np.abs(b[i] - b[lo:hi]) / np.maximum(np.abs(b[i] + b[lo:hi]), guard)
+        bias_term = np.abs(b[a] - b[rows]) / np.maximum(np.abs(b[a] + b[rows]), guard)
         s = weight_term + bias_term
-        if zero[i]:
-            s[zero[lo:hi]] = 0.0
+        s[zero[a] & zero[rows]] = 0.0
         return s
 
     return heuristic
+
+
+def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
+    """Row ``c``: a certified lower bound on every ``sim_sq[c, r]``, from BLAS products.
+
+    Each squared distance comes from the Gram form ``|a|^2 + |b|^2 - 2a.b``
+    of one ``W[lo:hi] @ W.T`` block, less a margin of ``(4d + 64) u
+    (|a| + |b|)^2`` (``u`` the unit roundoff, ``d`` the fan-in). Rounding
+    bounds for inner products (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.1) make that cover the Gram form's error and
+    the direct scorer's own under any summation order, blocking, FMA use
+    or thread count; a small absolute term covers underflow. The rest of
+    the scorer's arithmetic (sqrt, guard, divide, bias term, square) is
+    then repeated on the bounds, and each of those operations is monotone,
+    so no entry exceeds what :func:`build_saliency_matrix` stores; a last
+    ``1 - 8 eps`` factor absorbs any last-bit difference in ``pow``.
+    The heuristic's unit rows are bounded from the same product, scaled
+    by the reciprocal norms, with the units' own rounding in the margin.
+    """
+    w, b = layer.weights, layer.bias
+    n, d = w.shape
+    eps = np.finfo(np.float64).eps
+    tol = (2 * d + 32) * eps
+    floor = (d + 16) * np.finfo(np.float64).tiny
+    nsq = _squared_norms(w)
+    norms = np.sqrt(nsq)
+    heuristic = cfg.mode is SimilarityMode.NORMALIZED_HEURISTIC
+    if heuristic:
+        guard = cfg.denominator_guard
+        scale = 1.0 / np.maximum(norms, guard)
+        unit_sq = nsq * scale * scale
+        # Unit rows have norm at most 1 (times 1 + O(d u)), so (|a| + |b|)^2 <= 4.
+        unit_margin = 4 * tol + floor * scale.max() * scale.max()
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    bounds = np.empty((n, n))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        gram = w[lo:hi] @ w.T
+        margin = np.add.outer(norms[lo:hi], norms)
+        np.square(margin, out=margin)
+        margin *= tol
+        margin += floor
+        if heuristic:
+            # Upper bound on |a + b|^2, the heuristic's denominator.
+            den = np.add.outer(nsq[lo:hi], nsq)
+            den += gram
+            den += gram
+            den += margin
+            np.sqrt(den, out=den)
+            np.maximum(den, guard, out=den)
+            # Lower bound on |unit_a - unit_b|^2, reusing the product's storage.
+            gram *= scale[lo:hi, None]
+            gram *= -2.0 * scale
+            gram += unit_sq[lo:hi, None]
+            gram += unit_sq
+            gram -= unit_margin
+            np.fmax(gram, 0.0, out=gram)
+            np.sqrt(gram, out=gram)
+            gram /= den
+            # Rows past ~1e154 overflow the products and leave nan; 0 still bounds.
+            np.fmax(gram, 0.0, out=gram)
+            # The bias term is elementwise, so it is computed exactly.
+            np.add.outer(b[lo:hi], b, out=den)
+            np.abs(den, out=den)
+            np.maximum(den, guard, out=den)
+            np.subtract.outer(b[lo:hi], b, out=margin)
+            np.abs(margin, out=margin)
+            margin /= den
+            gram += margin
+        else:
+            gram *= -2.0
+            gram += nsq[lo:hi, None]
+            gram += nsq
+            gram -= margin
+            np.fmax(gram, 0.0, out=gram)
+            np.subtract.outer(b[lo:hi], b, out=margin)
+            np.float_power(margin, 2.0, out=margin)
+            gram += margin
+            np.sqrt(gram, out=gram)
+        np.square(gram, out=bounds[lo:hi])
+    bounds *= 1.0 - 8 * eps
+    return bounds
+
+
+class _CertifiedCosts:
+    """Column minima of the removal costs, settled on exact scores only.
+
+    ``sim_sq`` starts as :func:`_sim_sq_lower_bounds`, and ``exact`` marks
+    the entries that hold :func:`build_saliency_matrix`'s value instead. A
+    column whose cheapest entry is a bound scores that row exactly, then
+    every row whose lower-bound cost is smaller than the exact one, or
+    equal at a smaller index. Any other row's exact cost is at least its
+    bound, so the first minimum is the one the full matrix gives. Each
+    scored pair is written to both halves and never scored again.
+    """
+
+    def __init__(self, layer: FcLayer, cfg: SimilarityConfig):
+        self.score = _pair_scorer(layer, cfg)
+        self.sim_sq = _sim_sq_lower_bounds(layer, cfg)
+        self.exact = np.zeros(self.sim_sq.shape, dtype=bool)
+        np.fill_diagonal(self.exact, True)  # the diagonal never enters a cost
+        self.pair_block = max(1, _BLOCK_BYTES // (8 * layer.n_in))
+
+    def column_minima(self, msq, live, columns) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_column_minima` of the exact costs, in bounded blocks."""
+        n = live.size
+        block = max(1, _BLOCK_BYTES // (8 * n))
+        if columns.size > block:
+            parts = [self.column_minima(msq, live, columns[lo : lo + block])
+                     for lo in range(0, columns.size, block)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+        costs = _cost_columns(self.sim_sq, msq, live, columns)
+        rows = costs.argmin(axis=1)
+        # A column with no other live row finds a dead row or its own diagonal
+        # (marked exact) here, and settles nothing.
+        k = np.flatnonzero(live[rows] & ~self.exact[columns, rows])
+        if k.size:
+            cols, first = columns[k], rows[k]
+            self._score(cols, first)
+            least = self.sim_sq[cols, first] * msq[cols]
+            costs[k, first] = least
+            sub = costs[k]
+            window = (sub < least[:, None]) | (
+                (sub == least[:, None]) & (np.arange(n) < first[:, None])
+            )
+            # Not masked by ``exact``: a pair scored above for another column
+            # still holds its bound in ``costs``, and is refreshed here.
+            window &= live
+            window[np.arange(k.size), cols] = False
+            at, other = np.nonzero(window)
+            if at.size:
+                self._score(cols[at], other)
+                costs[k[at], other] = self.sim_sq[cols[at], other] * msq[cols[at]]
+            rows = costs.argmin(axis=1)
+        return rows, costs[np.arange(columns.size), rows]
+
+    def _score(self, cols, rows) -> None:
+        """Write the exact ``sim_sq`` of the pairs ``(cols, rows)`` not scored yet."""
+        n = self.exact.shape[0]
+        todo = ~self.exact[cols, rows]
+        if not todo.any():
+            return
+        pairs = np.minimum(cols[todo], rows[todo]) * n + np.maximum(cols[todo], rows[todo])
+        if pairs.size > 1:
+            pairs = np.unique(pairs)  # a pair can be due from both of its columns
+        lo, hi = np.divmod(pairs, n)
+        for start in range(0, pairs.size, self.pair_block):
+            a, b = lo[start : start + self.pair_block], hi[start : start + self.pair_block]
+            s = self.score(a, b)
+            self.sim_sq[a, b] = self.sim_sq[b, a] = s * s
+        self.exact[lo, hi] = self.exact[hi, lo] = True
 
 
 @dataclass(frozen=True)

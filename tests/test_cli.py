@@ -327,6 +327,14 @@ class TestEval:
         assert code == 1
         assert f"{bad}:2:" in err
 
+    @pytest.mark.parametrize("label", ["0.5", "-1"])
+    def test_bad_label_names_the_line(self, model_file, tmp_path, label):
+        bad = tmp_path / "lab.csv"
+        bad.write_text(f"1,2,3,4,5,6,7,8,0\n\n1,2,3,4,5,6,7,8,{label}\n")
+        code, _, err = run_cli(["eval", "--model", str(model_file), "--data", str(bad)])
+        assert code == 1
+        assert f"{bad}:3: label must be a nonnegative integer, found '{label}'" in err
+
 
 class TestCompare:
     def test_emits_one_aligned_curve_per_policy(self, model_file, tmp_path):

@@ -145,6 +145,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: expected 3 columns, found 2$"):
             load_csv(p, has_header=has_header)
 
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("label", ["0.5", "-1", "1e300"])
+    def test_bad_label_names_its_line(self, tmp_path, has_header, label):
+        p = tmp_path / "lab.csv"
+        header = "f0,f1,label\n" if has_header else ""
+        p.write_text(header + "1.0,2.0,0\n# note\n3.0,1.0,1\n4.0,1.0, " + label + "\n5.0,1.0,1\n")
+        line = 5 if has_header else 4
+        want = f"^{re.escape(str(p))}:{line}: label must be a nonnegative integer, found '{label}'$"
+        with pytest.raises(ValueError, match=want):
+            load_csv(p, has_header=has_header)
+
     def test_split_seed_controls_partition(self, tmp_path):
         p = tmp_path / "data.csv"
         self.write_csv(p)

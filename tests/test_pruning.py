@@ -1,6 +1,7 @@
 """Removal loop, baseline policies, traces, and compression arithmetic."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from neuronprune import (
     PruneTrace,
     SimilarityConfig,
     SimilarityMode,
+    TrainConfig,
     build_saliency_matrix,
     compression_percent,
     delete_neuron,
@@ -32,7 +34,10 @@ from neuronprune import (
     prune_one,
     replay_trace,
     trace_error_curve,
+    train,
 )
+from neuronprune.pruning import _EditState
+from neuronprune.saliency import _cheapest, _column_minima
 
 HEUR = SimilarityConfig()
 
@@ -452,6 +457,70 @@ def reference_replay(net, trace):
     return net
 
 
+def reference_loop(net, layer_index, count, cfg):
+    """The removal loop on the full exact matrix, with cached column minima."""
+    matrix = build_saliency_matrix(
+        net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
+    )
+    sim_sq = matrix.sim_sq
+    msq = matrix.mean_sq_out.copy()
+    state = _EditState(net, layer_index)
+    live = state.live
+    # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
+    best_row, best = _column_minima(sim_sq, msq, live, np.arange(live.size))
+    steps = []
+    for step_number in range(1, count + 1):
+        i, j = _cheapest(best_row, best)
+        step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
+        steps.append(step)
+        state.apply(step)
+        best[j] = np.inf
+        column = state.next_weights[:, i]
+        msq[i] = np.mean(column * column)
+        stale = live & (best_row == j)
+        stale[i] = True
+        columns = np.flatnonzero(stale)
+        best_row[columns], best[columns] = _column_minima(sim_sq, msq, live, columns)
+    return state.network(), tuple(steps)
+
+
+def assert_matches_reference_loop(net, cfg, layer_index=0):
+    """Prune to one neuron and compare with :func:`reference_loop` bit for bit."""
+    count = net.layers[layer_index].n_out - 1
+    pruned, trace = prune_layer(
+        net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+    )
+    want_net, want_steps = reference_loop(net, layer_index, count, cfg)
+    assert trace.steps == want_steps
+    assert same_network(pruned, want_net)
+    return trace
+
+
+def two_layer_net(w, b, n_out=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return Network(
+        layers=(
+            FcLayer(w, b, Activation.RELU),
+            FcLayer(rng.normal(size=(n_out, w.shape[0])), rng.normal(size=n_out), Activation.IDENTITY),
+        ),
+        input_dim=w.shape[1],
+    )
+
+
+def near_twin_net(seed, n_in, width, group=4, copies=8):
+    """Rows drawn tightly around ``width // group`` prototypes, plus ``copies`` exact copies."""
+    rng = np.random.default_rng(seed)
+    n_protos = width // group
+    protos = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_protos, n_in))
+    owner = rng.permutation(np.repeat(np.arange(n_protos), group))
+    w = protos[owner] + rng.normal(0.0, 1e-3 / np.sqrt(n_in), size=(width, n_in))
+    b = rng.uniform(0.5, 1.5, size=n_protos)[owner] + rng.normal(0.0, 1e-3, size=width)
+    for proto in rng.choice(n_protos, size=copies, replace=False):
+        source, target = np.flatnonzero(owner == proto)[:2]
+        w[target], b[target] = w[source], b[source]
+    return two_layer_net(w, b, n_out=10, seed=seed)
+
+
 def tied_net(activation=Activation.SIGMOID):
     """Four groups of four identical neurons plus two scaled copies."""
     rng = np.random.default_rng(41)
@@ -547,6 +616,162 @@ class TestFastLoopMatchesReference:
         assert same_network(replay_trace(net, trace), pruned)
         partial = dataclasses.replace(trace, steps=trace.steps[: width // 2])
         assert same_network(replay_trace(net, trace, width // 2), reference_replay(net, partial))
+
+
+MODES = pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
+
+
+class TestCertifiedLoopMatchesReferenceLoop:
+    """The loop settles column minima from lower bounds; the full matrix is the reference."""
+
+    @MODES
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_loop_cases(self, mode, case):
+        net, layer_index = LOOP_CASES[case]
+        assert_matches_reference_loop(net, SimilarityConfig(mode=mode), layer_index)
+
+    @MODES
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_1024_wide_near_twins(self, mode, seed):
+        net = near_twin_net(seed, n_in=256, width=1024)
+        trace = assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
+        assert np.count_nonzero(trace.saliencies() == 0.0) == 8
+
+    def test_4096_wide_near_twins_raw(self):
+        net = near_twin_net(2, n_in=64, width=4096, copies=16)
+        assert_matches_reference_loop(net, SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE))
+
+    @MODES
+    def test_trained_256_wide_relu_layer(self, mode):
+        ds = make_blobs(n_samples=600, n_features=12, n_classes=3, seed=6)
+        net = train(
+            ds, TrainConfig(hidden_units=256, activation=Activation.RELU, epochs=20, seed=6)
+        )
+        assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
+
+
+def scaled_rows(seed, n, d, norm):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, d))
+    return w * (norm / np.linalg.norm(w, axis=1))[:, None], rng.normal(size=n)
+
+
+class TestGramCancellation:
+    """Layers where the Gram form cancels worst; every trace must equal the reference."""
+
+    @MODES
+    @pytest.mark.parametrize("norm", [1e3, 1e-3])
+    def test_exact_duplicates_at_extreme_norms(self, mode, norm):
+        w, b = scaled_rows(50, 12, 9, norm)
+        w[3] = w[2] * (1 + 1e-9)
+        w[6:], b[6:] = w[:6], b[:6]
+        trace = assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+        assert np.count_nonzero(trace.saliencies() == 0.0) >= 6
+
+    @MODES
+    def test_twins_one_ulp_apart(self, mode):
+        w, b = scaled_rows(51, 10, 16, 1.0)
+        for k in range(0, 10, 2):
+            w[k + 1] = w[k]
+            b[k + 1] = b[k]
+            w[k + 1, k] = np.nextafter(w[k, k], np.inf)
+        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+
+    @MODES
+    def test_positive_scale_copies(self, mode):
+        w, b = scaled_rows(52, 5, 7, 1.0)
+        scales = np.array([1.0, 0.5, 3.0, 1e-3, 7.0, 1.0 + 2**-40])
+        w = np.concatenate([w * c for c in scales])
+        b = np.concatenate([b * c for c in scales])
+        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+
+    @MODES
+    def test_opposite_rows(self, mode):
+        w, b = scaled_rows(53, 6, 5, 1.0)
+        w = np.concatenate([w, -w, w[:2]])
+        b = np.concatenate([b, b, b[:2]])
+        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+
+    @MODES
+    def test_biases_summing_to_zero(self, mode):
+        w, b = scaled_rows(54, 6, 5, 1.0)
+        w = np.concatenate([w, w, w + 1e-7])
+        b = np.concatenate([b, -b, b])
+        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+
+    def test_rows_whose_products_overflow(self):
+        # Squared norms of 1e200-sized rows overflow; the heuristic's exact
+        # weight term is then 0, and the bounds must not turn into nan.
+        rng = np.random.default_rng(56)
+        w = rng.normal(size=(8, 5)) * 1e200
+        w[4:] = w[:4] * np.array([1.0, -1.0, 0.5, 1.0 + 2**-40])[:, None]
+        net = two_layer_net(w, rng.normal(size=8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_reference_loop(net, HEUR)
+
+    @MODES
+    def test_two_zero_rows_warn_once(self, mode):
+        w, b = scaled_rows(55, 6, 5, 1.0)
+        w[[1, 4]] = 0.0
+        b[[1, 4]] = 0.0
+        net = two_layer_net(w, b)
+        cfg = SimilarityConfig(mode=mode)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == (1 if mode is SimilarityMode.NORMALIZED_HEURISTIC else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert_matches_reference_loop(net, cfg)
+
+
+def record_scored_pairs(monkeypatch):
+    """Wrap the exact pair scorer; the returned list gets one (low, high) entry per score."""
+    scored = []
+    real = saliency._pair_scorer
+
+    def wrapped(layer, cfg):
+        score = real(layer, cfg)
+
+        def counted(a, b):
+            a, b = np.broadcast_arrays(a, b)
+            scored.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            return score(a, b)
+
+        return counted
+
+    monkeypatch.setattr(saliency, "_pair_scorer", wrapped)
+    return scored
+
+
+class TestExactScoring:
+    @MODES
+    @pytest.mark.parametrize("case", ["all-equal", "tied"])
+    def test_no_pair_is_scored_twice(self, mode, case, monkeypatch):
+        net, layer_index = LOOP_CASES[case]
+        n = net.layers[layer_index].n_out
+        scored = record_scored_pairs(monkeypatch)
+        prune_layer(net, layer_index, n - 1, PrunePolicy(PolicyKind.SALIENCY_SURGERY),
+                    SimilarityConfig(mode=mode))
+        # All-equal is the worst case: each removal takes the first live row,
+        # which every column's minimum sat in, so every pair comes due once.
+        assert scored
+        assert len(set(scored)) == len(scored) <= n * (n - 1) // 2
+
+    def test_near_twins_score_few_pairs(self, monkeypatch):
+        net = near_twin_net(3, n_in=32, width=256)
+        scored = record_scored_pairs(monkeypatch)
+        prune_layer(net, 0, 255, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        assert len(set(scored)) == len(scored) < 4 * 256
+
+    def test_the_full_matrix_is_never_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("prune_layer built the full matrix")
+
+        monkeypatch.setattr(saliency, "build_saliency_matrix", refuse)
+        net, layer_index = LOOP_CASES["tied"]
+        prune_layer(net, layer_index, 15, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
 
 
 class TestCompressionArithmetic:

@@ -10,11 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import neuronprune.saliency as saliency
 from neuronprune import (
     DIAGONAL_SENTINEL,
     Activation,
     FcLayer,
     Network,
+    PolicyKind,
+    PrunePolicy,
     SimilarityConfig,
     SimilarityMode,
     WeightSet,
@@ -22,6 +25,7 @@ from neuronprune import (
     forward,
     mean_outgoing_square,
     merge_neurons,
+    prune_layer,
     prune_one,
     raw_difference,
     heuristic_similarity,
@@ -29,6 +33,8 @@ from neuronprune import (
     verify_bound,
     verify_contraction,
 )
+
+from neuronprune.saliency import _sim_sq_lower_bounds
 
 RAW = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
 HEUR = SimilarityConfig()
@@ -351,6 +357,152 @@ class TestDerivedCosts:
                         assert values[i, j] == m.sim_sq[i, j] * m.mean_sq_out[j]
                     else:
                         assert values[i, j] == DIAGONAL_SENTINEL
+
+
+def checked_lower_bounds(w, b, cfg):
+    """The certified bounds of a layer, after checking them against the exact build."""
+    layer = FcLayer(w, b, Activation.RELU)
+    nxt = FcLayer(np.ones((1, len(b))), np.zeros(1), Activation.IDENTITY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        exact = build_saliency_matrix(layer, nxt, cfg).sim_sq
+    bounds = _sim_sq_lower_bounds(layer, cfg)
+    off = ~np.eye(len(b), dtype=bool)
+    assert np.all(bounds[off] <= exact[off])
+    return bounds, exact
+
+
+def awkward_layer(seed, n, d, log_scale):
+    """Rows at one scale, with exact, one-ulp, scaled, negated and zero copies mixed in."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, d)) * 10.0**log_scale
+    b = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+    for r in range(1, n):
+        source = int(rng.integers(r))
+        kind = rng.integers(6)
+        if kind == 0:
+            w[r], b[r] = w[source], b[source]
+        elif kind == 1:
+            w[r], b[r] = w[source], b[source]
+            k = int(rng.integers(d))
+            w[r, k] = np.nextafter(w[r, k], np.inf)
+        elif kind == 2:
+            c = rng.uniform(0.1, 10.0)
+            w[r], b[r] = c * w[source], c * b[source]
+        elif kind == 3:
+            w[r], b[r] = -w[source], -b[source]
+        elif kind == 4:
+            w[r], b[r] = 0.0, 0.0
+    return w, b
+
+
+class TestCertifiedLowerBounds:
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 9),
+        d=st.integers(1, 40),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_never_above_the_exact_entry(self, cfg, seed, n, d, log_scale):
+        checked_lower_bounds(*awkward_layer(seed, n, d, log_scale), cfg)
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @given(
+        w=arrays(np.float64, (5, 3), elements=st.floats(-1e3, 1e3, allow_nan=False)),
+        b=arrays(np.float64, 5, elements=st.floats(-1e3, 1e3, allow_nan=False)),
+    )
+    def test_never_above_the_exact_entry_on_arbitrary_rows(self, cfg, w, b):
+        checked_lower_bounds(w, b, cfg)
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("log_scale", [-300, -160, 160, 200, 300])
+    def test_never_above_the_exact_entry_where_products_leave_the_range(self, cfg, log_scale):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            bounds, _ = checked_lower_bounds(*awkward_layer(3, 8, 5, log_scale), cfg)
+        assert not np.isnan(bounds).any()
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    def test_tight_away_from_duplicates(self, cfg):
+        rng = np.random.default_rng(26)
+        w = rng.normal(size=(40, 300))
+        bounds, exact = checked_lower_bounds(w, rng.normal(size=40), cfg)
+        off = ~np.eye(40, dtype=bool)
+        assert np.all(bounds[off] >= exact[off] * (1 - 1e-9))
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    def test_blocked_build_still_bounds(self, cfg, monkeypatch):
+        monkeypatch.setattr(saliency, "_BLOCK_BYTES", 3 * 8 * 9)
+        checked_lower_bounds(*awkward_layer(27, 9, 5, 0.0), cfg)
+
+    def test_prune_loop_peak_holds_one_matrix_and_a_mask(self, monkeypatch):
+        n = 512
+        layer, nxt = seeded_pair_layer(28, n=n, d=16)
+        net = net_of(layer, nxt)
+        monkeypatch.setattr(saliency, "_BLOCK_BYTES", 1 << 16)
+        policy = PrunePolicy(PolicyKind.SALIENCY_SURGERY)
+        prune_layer(net_of(*seeded_pair_layer(28)), 0, 5, policy)  # one-time imports
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            prune_layer(net, 0, n - 1, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.125 * n * n * 8 + 8 * saliency._BLOCK_BYTES + 64 * n
+
+
+class TestCertifiedColumnMinima:
+    """Hand-set lower bounds, still below the exact entries, steer one column's scan.
+
+    Column 0's exact squared similarities to rows 1, 2, 3 are 9, 4 and 41.
+    """
+
+    def costs_with_bounds(self, bounds):
+        w = np.array([[1.0, 0.0], [1.0, 3.0], [1.0, 2.0], [5.0, 5.0]])
+        layer = FcLayer(w, np.zeros(4), Activation.RELU)
+        nxt = FcLayer(np.ones((1, 4)), np.zeros(1), Activation.IDENTITY)
+        exact = build_saliency_matrix(layer, nxt, RAW).sim_sq
+        costs = saliency._CertifiedCosts(layer, RAW)
+        for (i, j), value in bounds.items():
+            assert value <= exact[i, j]
+            costs.sim_sq[i, j] = costs.sim_sq[j, i] = value
+        return costs, exact
+
+    def scan(self, costs, exact, live=(True, True, True, True), factor=0.75, cols=(0,)):
+        live, msq, cols = np.array(live), np.full(4, factor), np.array(cols)
+        got = costs.column_minima(msq, live, cols)
+        want = saliency._column_minima(exact, msq, live, cols)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        return got[0].tolist()
+
+    def test_a_loose_bound_does_not_hide_the_minimum(self):
+        costs, exact = self.costs_with_bounds({(0, 3): 0.0})
+        assert self.scan(costs, exact) == [2]
+
+    def test_an_equal_bound_at_a_smaller_index_is_scored(self):
+        # Row 2's exact cost, 4 * 0.75, equals row 1's bounded cost.
+        costs, exact = self.costs_with_bounds({(0, 1): 4.0, (0, 2): 0.0})
+        assert self.scan(costs, exact) == [2]
+        assert costs.exact[0, 1]
+
+    def test_a_pair_scored_for_another_column_is_refreshed(self):
+        # Column 2 scores (0, 2) first; column 0 then finds its bound stale.
+        costs, exact = self.costs_with_bounds({(0, 3): 0.0, (0, 2): 0.5})
+        assert self.scan(costs, exact, cols=(0, 2)) == [2, 1]
+
+    def test_dead_rows_are_never_scored(self):
+        costs, exact = self.costs_with_bounds({(0, 1): 0.0})
+        assert self.scan(costs, exact, live=(True, False, True, True)) == [2]
+        assert not costs.exact[0, 1]
+
+    def test_dead_rows_are_never_scored_when_live_costs_overflow(self):
+        # Every live cost is inf, so the reference's first minimum is the diagonal's sentinel.
+        costs, exact = self.costs_with_bounds({(0, 3): 0.0})
+        with np.errstate(over="ignore"):
+            assert self.scan(costs, exact, live=(True, False, True, True), factor=1e308) == [0]
+        assert not costs.exact[0, 1]
 
 
 class TestStorage:
