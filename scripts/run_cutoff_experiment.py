@@ -23,12 +23,11 @@ from neuronprune import (
     TrainConfig,
     data_driven_cutoff,
     data_free_cutoff,
-    evaluate,
     export_report,
     export_trace,
     make_blobs,
     prune_layer,
-    replay_trace,
+    replay_error_oracle,
     trace_error_curve,
     train,
 )
@@ -84,9 +83,7 @@ def main() -> int:
         export_trace(trace, args.out_dir / f"trace_seed{seed}.csv")
         export_report(free, args.out_dir / f"data_free_seed{seed}.txt")
 
-        def oracle(count: int) -> float:
-            return evaluate(replay_trace(net, trace, count), ds, "val")[1]
-
+        oracle = replay_error_oracle(net, trace, ds, "val")
         with warnings.catch_warnings():
             # A small budget may end on a loose bracket; the count is still usable.
             warnings.simplefilter("ignore", RuntimeWarning)

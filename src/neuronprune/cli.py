@@ -36,10 +36,16 @@ from .pruning import (
     PrunePolicy,
     compression_percent,
     prune_network,
-    replay_trace,
 )
 from .saliency import SimilarityConfig, SimilarityMode
-from .training import TrainConfig, TrainingDiverged, compare_policies, evaluate, train
+from .training import (
+    TrainConfig,
+    TrainingDiverged,
+    compare_policies,
+    evaluate,
+    replay_error_oracle,
+    train,
+)
 
 __all__ = ["main", "entry"]
 
@@ -205,10 +211,7 @@ def _cmd_cutoff(parser: argparse.ArgumentParser, args) -> int:
             parser.error("--method data-driven requires a dataset (--data or --synthetic)")
         net = load_model(args.model)
         ds = _load_dataset(args)
-
-        def oracle(step: int) -> float:
-            return evaluate(replay_trace(net, trace, step), ds, args.split)[1]
-
+        oracle = replay_error_oracle(net, trace, ds, args.split)
         report = data_driven_cutoff(
             trace, oracle, budget=args.budget, max_error_increase=args.max_error_increase
         )

@@ -63,15 +63,22 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _row_format(count: int) -> str:
+    # '%.17g' % v is the same string as format(v, ".17g"), i.e. _fmt(v)
+    return " ".join(["%.17g"] * count) + "\n"
+
+
 def save_model(net: Network, path) -> None:
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", f"layers {len(net.layers)}"]
-    for index, layer in enumerate(net.layers):
-        lines.append(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}")
-        for row in layer.weights:
-            lines.append(" ".join(_fmt(v) for v in row))
-        lines.append("bias " + " ".join(_fmt(v) for v in layer.bias))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\nlayers {len(net.layers)}\n")
+        for index, layer in enumerate(net.layers):
+            fh.write(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}\n")
+            row_format = _row_format(layer.n_in)
+            # one row at a time: a whole-matrix tolist() holds every value as
+            # a Python float at once
+            for row in layer.weights:
+                fh.write(row_format % tuple(row.tolist()))
+            fh.write("bias " + _row_format(layer.n_out) % tuple(layer.bias.tolist()))
 
 
 class _LineReader:

@@ -58,14 +58,18 @@ class Activation(Enum):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split on sign so exp never overflows
+    # e = exp(-|z|) never overflows and is bit for bit the exp of each sign
+    # branch: 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z)) elsewhere.
+    # Built in place, so only e, 1 + e and the sign mask are ever allocated.
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.empty_like(z)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= d
+    return e
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:

@@ -3,8 +3,12 @@
 Training is deliberately simple so runs are bit-reproducible: no
 momentum, sequential minibatches from a seeded shuffle, and every random
 draw (initialization, then one permutation per epoch) comes from a
-single generator in a documented order. Weight decay applies to weight
-matrices only; biases are updated from their gradient alone.
+single generator in a documented order. Each epoch gathers the train
+split once in its permuted order and takes the minibatches as
+consecutive slices of that copy, which are the same rows, in the same
+order, as indexing each minibatch by its slice of the permutation.
+Weight decay applies to weight matrices only; biases are updated from
+their gradient alone.
 
 The output layer is linear. Class predictions take the argmax of the
 logits, with ties resolved toward the smallest class index.
@@ -25,6 +29,7 @@ from .pruning import (
     _check_prunable,
     _EditState,
     prune_layer,
+    replay_trace,
 )
 from .saliency import SimilarityConfig
 
@@ -35,6 +40,7 @@ __all__ = [
     "evaluate",
     "error_curve",
     "trace_error_curve",
+    "replay_error_oracle",
     "compare_policies",
 ]
 
@@ -75,16 +81,18 @@ class TrainConfig:
             raise ValueError("weight decay must be nonnegative")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _loss_and_softmax(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray):
+    """Mean log-loss of ``labels`` and the softmax of ``logits``, from one ``exp``.
 
-
-def _log_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_norm - shifted[np.arange(len(labels)), labels]))
+    ``rows`` is ``np.arange(len(labels))``. ``logits`` is overwritten with
+    its row-max-shifted values; the returned softmax is a new array.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    norm = exp.sum(axis=1)
+    loss = float(np.mean(np.log(norm) - logits[rows, labels]))
+    exp /= norm[:, None]
+    return loss, exp
 
 
 def _init_params(rng, d: int, hidden: int, n_classes: int):
@@ -100,7 +108,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> Network:
 
     One generator seeded by ``cfg.seed`` supplies, in order: the two
     weight initializations, then one train-split permutation per epoch.
-    Minibatches are consecutive slices of that permutation. Raises
+    Minibatches are consecutive slices of the split gathered in that
+    permuted order. Raises
     :class:`TrainingDiverged` the first epoch the mean loss is not
     finite.
     """
@@ -116,32 +125,43 @@ def train(ds: Dataset, cfg: TrainConfig) -> Network:
     lr = cfg.learning_rate
     decay = cfg.weight_decay
     n = len(y_train)
+    rows = np.arange(min(n, cfg.batch_size))
+    step1, step2 = np.empty_like(w1), np.empty_like(w2)
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
+        x_epoch = x_train[perm]
+        y_epoch = y_train[perm]
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = perm[start : start + cfg.batch_size]
-            xb = x_train[batch]
-            yb = y_train[batch]
-            pre = xb @ w1.T + b1
+            xb = x_epoch[start : start + cfg.batch_size]
+            yb = y_epoch[start : start + cfg.batch_size]
+            size = len(yb)
+            batch_rows = rows[:size]
+            pre = xb @ w1.T
+            pre += b1
             hid = act.apply(pre)
-            logits = hid @ w2.T + b2
-            epoch_loss += _log_loss(logits, yb) * len(batch)
-            grad_logits = _softmax(logits)
-            grad_logits[np.arange(len(batch)), yb] -= 1.0
-            grad_logits /= len(batch)
+            logits = hid @ w2.T
+            logits += b2
+            loss, grad_logits = _loss_and_softmax(logits, yb, batch_rows)
+            epoch_loss += loss * size
+            grad_logits[batch_rows, yb] -= 1.0
+            grad_logits /= size
             grad_w2 = grad_logits.T @ hid
             grad_b2 = grad_logits.sum(axis=0)
             grad_hid = grad_logits @ w2
             if act is Activation.SIGMOID:
-                grad_pre = grad_hid * hid * (1.0 - hid)
+                grad_hid *= hid
+                grad_hid *= 1.0 - hid
             else:
-                grad_pre = grad_hid * (pre > 0.0)
-            grad_w1 = grad_pre.T @ xb
-            grad_b1 = grad_pre.sum(axis=0)
-            w1 -= lr * (grad_w1 + decay * w1)
+                grad_hid *= pre > 0.0
+            grad_w1 = grad_hid.T @ xb
+            grad_b1 = grad_hid.sum(axis=0)
+            for w, grad, step in ((w1, grad_w1, step1), (w2, grad_w2, step2)):
+                np.multiply(w, decay, out=step)
+                step += grad
+                step *= lr
+                w -= step
             b1 -= lr * grad_b1
-            w2 -= lr * (grad_w2 + decay * w2)
             b2 -= lr * grad_b2
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(
@@ -223,6 +243,20 @@ def trace_error_curve(
     for done, logits in _trace_logits(net, trace, x, eval_every):
         curve.append((done, _accuracy_and_error(logits, y)[1]))
     return curve
+
+
+def replay_error_oracle(net: Network, trace: PruneTrace, ds: Dataset, split: str = "test"):
+    """The error oracle for :func:`~neuronprune.cutoff.data_driven_cutoff`.
+
+    Returns ``oracle(count)``: the error, in percent, of ``net`` after the
+    first ``count`` removals of ``trace`` (:func:`replay_trace`), measured
+    by :func:`evaluate` on ``split``. Each call replays from step 0.
+    """
+
+    def oracle(count: int) -> float:
+        return evaluate(replay_trace(net, trace, count), ds, split)[1]
+
+    return oracle
 
 
 def error_curve(

@@ -99,7 +99,63 @@ class TestModelRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def reference_save(net, path):
+    """The writer ``save_model`` must match byte for byte: one
+    ``format(v, ".17g")`` per value, lines joined once at the end."""
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    lines = ["neuronprune-model 1", f"layers {len(net.layers)}"]
+    for index, layer in enumerate(net.layers):
+        lines.append(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}")
+        for row in layer.weights:
+            lines.append(" ".join(fmt(v) for v in row))
+        lines.append("bias " + " ".join(fmt(v) for v in layer.bias))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestWriterBytes:
+    SPECIAL = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.1125369292536007e-308,
+        1e16, -1e16, 1.2345678901234567e16, 9007199254740993.0, 1e-16, 0.1, 1 / 3,
+        1e308, -1.7976931348623157e308, 123456789.0, 1.5, -2.0,
+    ]
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (0, (4, 6, 3)), (1, (1, 1, 2)), (2, (5, 7, 4, 3)), (3, (37, 19, 5)),
+    ])
+    def test_matches_reference_writer(self, tmp_path, seed, sizes):
+        net = random_net(seed, sizes)
+        rng = np.random.default_rng(seed)
+        layers = []
+        for layer in net.layers:
+            w = layer.weights * 10.0 ** rng.integers(-320, 300, size=layer.weights.shape)
+            b = layer.bias * 10.0 ** rng.integers(-320, 300, size=layer.bias.shape)
+            specials = rng.choice(self.SPECIAL, size=w.size)
+            mask = rng.random(w.shape) < 0.3
+            w[mask] = specials.reshape(w.shape)[mask]
+            b[: len(self.SPECIAL)] = self.SPECIAL[: len(b)]
+            layers.append(FcLayer(w, b, layer.activation))
+        net = Network(layers=tuple(layers), input_dim=net.input_dim)
+        ours, theirs = tmp_path / "ours.model", tmp_path / "ref.model"
+        save_model(net, ours)
+        reference_save(net, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        loaded = load_model(ours)
+        for la, lb in zip(net.layers, loaded.layers):
+            assert la.weights.tobytes() == lb.weights.tobytes()
+            assert la.bias.tobytes() == lb.bias.tobytes()
+
+
 class TestGoldenFile:
+    def test_save_reproduces_golden_bytes(self, tmp_path):
+        src, out = tmp_path / "golden.model", tmp_path / "again.model"
+        src.write_text(GOLDEN_221)
+        save_model(load_model(src), out)
+        assert out.read_bytes() == GOLDEN_221.encode("ascii")
+
     def test_minimal_model_loads_to_documented_layout(self, tmp_path):
         p = tmp_path / "tiny.model"
         p.write_text(GOLDEN_221)

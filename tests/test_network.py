@@ -1,5 +1,7 @@
 """Forward pass, structural edits, and rescaling of dense feedforward nets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from neuronprune import (
     param_count,
     rescale_relu_layer,
 )
+from neuronprune.network import _sigmoid
 
 
 def seeded_net(seed, d_in=5, hidden=7, d_out=3, activation=Activation.RELU):
@@ -49,6 +52,66 @@ class TestActivations:
     def test_identity_is_passthrough(self):
         z = np.array([-1.5, 2.5])
         np.testing.assert_array_equal(Activation.IDENTITY.apply(z), z)
+
+
+def reference_sigmoid(z):
+    """Sigmoid split on sign through two masks, so exp never overflows."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoidBits:
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+        np.inf, -np.inf, 1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7, 37.5, -37.5,
+        708.0, -708.0, 709.0, -709.0, 709.78, -709.78, 710.0, -710.0,
+        744.0, -744.0, 745.0, -745.0, 745.13, -745.13, 746.0, -746.0, 1e308, -1e308,
+    ]
+
+    def test_edge_values_match_reference_bitwise(self):
+        z = np.array(self.EDGES)
+        got = _sigmoid(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert got.tobytes() == reference_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (), (1,), (257,), (9, 31), (4, 5, 6), (2580, 3)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_random_arrays_match_reference_bitwise(self, shape, scale):
+        rng = np.random.default_rng(len(shape) * 1000 + int(scale))
+        z = rng.normal(scale=scale, size=shape)
+        got = _sigmoid(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == reference_sigmoid(z).tobytes()
+
+    def test_non_contiguous_and_integer_inputs(self):
+        z = np.random.default_rng(3).normal(scale=5.0, size=(40, 30))
+        before = z.copy()
+        assert _sigmoid(z[::3, ::2]).tobytes() == reference_sigmoid(z[::3, ::2]).tobytes()
+        assert _sigmoid(z.T).tobytes() == reference_sigmoid(z.T).tobytes()
+        assert _sigmoid([-3, 0, 3]).tobytes() == reference_sigmoid([-3, 0, 3]).tobytes()
+        assert z.tobytes() == before.tobytes()  # the input is never written
+
+    def test_nan_stays_nan(self):
+        # the sign bit of a nan result may differ; callers reject non-finite input
+        assert np.all(np.isnan(_sigmoid(np.array([np.nan, -np.nan, 1.0]))[:2]))
+
+    def test_peak_memory_of_one_call(self):
+        # the result, 1 + exp(-|z|) and the sign mask: 2.125x the input
+        z = np.random.default_rng(4).normal(scale=4.0, size=(2580, 256))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _sigmoid(z)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == z.shape
+        assert peak < 2.25 * z.nbytes
 
 
 class TestConstruction:

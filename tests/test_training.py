@@ -24,7 +24,7 @@ from neuronprune import (
     trace_error_curve,
     train,
 )
-from neuronprune.training import _trace_logits
+from neuronprune.training import _init_params, _trace_logits
 from conftest import mean_curve
 
 
@@ -125,6 +125,104 @@ class TestTrain:
             )
 
 
+def _reference_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _reference_log_loss(logits, labels):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(log_norm - shifted[np.arange(len(labels)), labels]))
+
+
+def reference_train(ds, cfg):
+    """The plain SGD loop ``train`` must reproduce bit for bit.
+
+    One minibatch at a time, indexed through its slice of the epoch's
+    permutation, with a separate softmax and log-loss and out-of-place
+    updates.
+    """
+    x_train, y_train = ds.split("train")
+    rng = np.random.default_rng(cfg.seed)
+    w1, b1, w2, b2 = _init_params(rng, ds.n_features, cfg.hidden_units, ds.n_classes)
+    act = cfg.activation
+    lr = cfg.learning_rate
+    decay = cfg.weight_decay
+    n = len(y_train)
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            xb = x_train[batch]
+            yb = y_train[batch]
+            pre = xb @ w1.T + b1
+            hid = act.apply(pre)
+            logits = hid @ w2.T + b2
+            epoch_loss += _reference_log_loss(logits, yb) * len(batch)
+            grad_logits = _reference_softmax(logits)
+            grad_logits[np.arange(len(batch)), yb] -= 1.0
+            grad_logits /= len(batch)
+            grad_w2 = grad_logits.T @ hid
+            grad_b2 = grad_logits.sum(axis=0)
+            grad_hid = grad_logits @ w2
+            if act is Activation.SIGMOID:
+                grad_pre = grad_hid * hid * (1.0 - hid)
+            else:
+                grad_pre = grad_hid * (pre > 0.0)
+            grad_w1 = grad_pre.T @ xb
+            grad_b1 = grad_pre.sum(axis=0)
+            w1 -= lr * (grad_w1 + decay * w1)
+            b1 -= lr * grad_b1
+            w2 -= lr * (grad_w2 + decay * w2)
+            b2 -= lr * grad_b2
+        if not np.isfinite(epoch_loss):
+            raise TrainingDiverged(
+                f"mean loss became non-finite in epoch {epoch + 1} of {cfg.epochs}"
+            )
+    return (w1, b1), (w2, b2)
+
+
+class TestTrainMatchesReference:
+    # make_blobs(n_samples=300) has a 180-row train split
+    @pytest.mark.parametrize("activation", [Activation.SIGMOID, Activation.RELU])
+    @pytest.mark.parametrize("options", [
+        dict(batch_size=7),
+        dict(batch_size=32),
+        dict(batch_size=180),
+        dict(batch_size=500),
+        dict(batch_size=32, epochs=0),
+        dict(batch_size=13, weight_decay=0.0),
+    ])
+    def test_weights_and_biases_bitwise_equal(self, activation, options):
+        ds = make_blobs(n_samples=300, n_features=8, n_classes=3, seed=31)
+        assert len(ds.split("train")[1]) == 180
+        # a learning rate that is not a power of two, so that reordering the
+        # update's roundings would show
+        base = dict(hidden_units=24, epochs=6, seed=5, learning_rate=0.3, activation=activation)
+        cfg = TrainConfig(**{**base, **options})
+        net = train(ds, cfg)
+        for layer, (weights, bias) in zip(net.layers, reference_train(ds, cfg)):
+            assert layer.weights.tobytes() == weights.tobytes()
+            assert layer.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("activation", [Activation.SIGMOID, Activation.RELU])
+    def test_divergence_fires_in_the_same_epoch(self, activation):
+        ds = make_blobs(n_samples=200, n_features=5, seed=5)
+        cfg = TrainConfig(
+            hidden_units=4, epochs=50, learning_rate=1e6, activation=activation, seed=0
+        )
+        with pytest.raises(TrainingDiverged) as expected:
+            reference_train(ds, cfg)
+        with pytest.raises(TrainingDiverged) as got:
+            train(ds, cfg)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).endswith(" of 50")
+
+
 def constant_logit_net(d, n_classes):
     w1 = np.zeros((2, d))
     b1 = np.zeros(2)
@@ -202,8 +300,12 @@ class TestErrorCurves:
         net = train(ds, TrainConfig(hidden_units=8, epochs=10, seed=14))
         for kind, seed in ((PolicyKind.SALIENCY_SURGERY, None), (PolicyKind.RANDOM, 2)):
             _, trace = prune_layer(net, 0, 7, PrunePolicy(kind, seed=seed))
+            oracle = npr.replay_error_oracle(net, trace, ds)
+            val_oracle = npr.replay_error_oracle(net, trace, ds, "val")
             for step, err in trace_error_curve(net, trace, ds):
                 assert err == evaluate(replay_trace(net, trace, step), ds)[1]
+                assert oracle(step) == err
+                assert val_oracle(step) == evaluate(replay_trace(net, trace, step), ds, "val")[1]
 
     def test_sparse_evaluation_keeps_endpoints(self):
         ds = make_blobs(n_samples=400, n_features=6, seed=15)
