@@ -9,6 +9,7 @@ two classes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,24 @@ def make_blobs(
     )
 
 
+def _read_text(path, encoding: str = "ascii", error=ValueError) -> str:
+    """The text of ``path``; a byte ``encoding`` cannot decode raises ``error`` at ``path:line``."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        pass
+    # Undecodable bytes come back as lone surrogates U+DC80..U+DCFF.
+    with open(path, encoding=encoding, errors="surrogateescape") as fh:
+        lines = fh.read().splitlines()
+    for line_number, line in enumerate(lines, start=1):
+        found = re.search("[\udc80-\udcff]", line)
+        if found:
+            byte = ord(found.group()) - 0xDC00
+            raise error(f"{path}:{line_number}: byte 0x{byte:02x} is not {encoding} text")
+    raise error(f"{path}: not {encoding} text")
+
+
 def _data_rows(path, has_header: bool):
     """``(line_number, fields)`` for each row ``np.loadtxt`` reads, in order.
 
@@ -191,6 +210,9 @@ def load_csv(
     """
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+    except UnicodeDecodeError as exc:
+        _read_text(path, exc.encoding)
+        raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(_first_bad_line(path, has_header) or f"{path}: {exc}") from None
     if raw.shape[1] < 2:

@@ -26,6 +26,7 @@ import json
 import numpy as np
 
 from .cutoff import CutoffMethod, CutoffReport, SaliencyHistogram
+from .data import _read_text
 from .network import Activation, FcLayer, Network
 from .pruning import PruneStep, PruneTrace
 
@@ -118,8 +119,7 @@ def _parse_int(reader: _LineReader, token: str, what: str) -> int:
 
 def load_model(path) -> Network:
     """Parse a model file, validating structure before building anything."""
-    with open(path, "r", encoding="ascii") as fh:
-        reader = _LineReader(path, fh.read().splitlines())
+    reader = _LineReader(path, _read_text(path, "ascii", ModelFormatError).splitlines())
     magic = reader.next_line("file magic").split()
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         reader.fail(f"not a {MODEL_MAGIC} file")
@@ -190,13 +190,12 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
     more than the largest neuron index mentioned, whichever is larger.
     For full prune-to-one traces that default is the true width.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}:1: expected header {TRACE_HEADER!r}")
+    lines = [(n, l) for n, l in enumerate(_read_text(path).splitlines(), start=1) if l.strip()]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected header {TRACE_HEADER!r}")
     steps = []
     errors = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"{path}:{lineno}: expected 5 comma-separated fields")

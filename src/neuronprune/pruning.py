@@ -16,8 +16,8 @@ tie-break helpers, in O(n^2) total work, from state private to one call:
   column of costs moves;
 * each column caches its exact minimum and the row that holds it, so a
   step takes the first column with the smallest cached minimum and
-  rescans only the kept neuron's column and the columns whose minimum
-  sat in the removed row;
+  rescans, one at a time from one row of costs, only the kept neuron's
+  column and the columns whose minimum sat in the removed row;
 * removals are recorded on a live mask and one copy of the next layer's
   weights, and the pruned ``Network`` is materialized once, at the end.
   :func:`replay_trace` replays a trace on the same state.
@@ -40,7 +40,6 @@ trace stays meaningful after the layer has physically shrunk.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from .network import FcLayer, Network, merge_neurons
 from .saliency import SaliencyMatrix, SimilarityConfig, mean_outgoing_square
-from .saliency import _cheapest, _cost_columns, _CertifiedCosts
+from .saliency import _cheapest, _cost_columns, _CertifiedCosts, _mean_outgoing_squares
 
 __all__ = [
     "PolicyKind",
@@ -94,8 +93,8 @@ class PruneStep:
     coefficients; it is ``None`` whenever no surgery was performed, so a
     trace can be replayed mechanically (merge when present, plain delete
     otherwise). ``saliency`` holds the policy's own score: the matrix
-    entry for the saliency policies, the magnitude product for
-    NAIVE_MAGNITUDE, and 0.0 for RANDOM.
+    entry for the saliency policies (inf when every cost left overflows),
+    the magnitude product for NAIVE_MAGNITUDE, and 0.0 for RANDOM.
     """
 
     step_number: int
@@ -110,8 +109,8 @@ class PruneStep:
             raise ValueError("removed and kept indices must be nonnegative")
         if self.kept is not None and self.kept == self.removed:
             raise ValueError("kept and removed neuron must differ")
-        if not (math.isfinite(self.saliency) and self.saliency >= 0.0):
-            raise ValueError("saliency must be finite and nonnegative")
+        if not self.saliency >= 0.0:
+            raise ValueError("saliency must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -266,26 +265,25 @@ def _run_saliency(
     net: Network, layer_index: int, count: int, cfg: SimilarityConfig
 ) -> tuple[Network, list[PruneStep]]:
     """:func:`prune_one` ``count`` times over, with cached exact column minima."""
-    layer, nxt = net.layers[layer_index], net.layers[layer_index + 1]
-    costs = _CertifiedCosts(layer, cfg)
-    msq = np.array([mean_outgoing_square(nxt, j) for j in range(layer.n_out)])
+    costs = _CertifiedCosts(net.layers[layer_index], cfg)
+    msq = _mean_outgoing_squares(net.layers[layer_index + 1])
     state = _EditState(net, layer_index)
-    live = state.live
+    live, weights = state.live, state.next_weights
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = costs.column_minima(msq, live, np.arange(live.size))
     steps = []
     for step_number in range(1, count + 1):
-        i, j = _cheapest(best_row, best)
+        i, j = _cheapest(best_row, best, live)
         step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
         steps.append(step)
         state.apply(step)
-        best[j] = np.inf
-        column = state.next_weights[:, i]
-        msq[i] = np.mean(column * column)
-        stale = live & (best_row == j)
-        stale[i] = True
-        columns = np.flatnonzero(stale)
-        best_row[columns], best[columns] = costs.column_minima(msq, live, columns)
+        best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
+        column = weights[:, i]
+        msq[i] = np.add.reduce(column * column) / column.size  # np.mean's sum and divide
+        # The kept column's factor moved; other columns lose a minimum held in row j.
+        stale = (best_row == j).nonzero()[0]
+        for c in (i, *stale[stale != i].tolist()):
+            best_row[c], best[c] = costs.column_minimum(msq, live, c)
     return state.network(), steps
 
 

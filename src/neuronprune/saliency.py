@@ -28,8 +28,12 @@ the same operations as the scalar functions :func:`raw_difference`,
 :func:`build_saliency_matrix` runs it on every pair and is the public
 exact reference. The loop behind ``pruning.prune_layer`` runs it only on
 the pairs that certified lower bounds from one Gram product cannot rule
-out. The matrix stores no costs: private helpers shared with
-:mod:`.pruning` derive them and break ties.
+out: ``_CertifiedCosts`` settles every column's exact minimum in blocks
+once, then rescans one stale column at a time. The matrix stores no
+costs: private helpers shared with :mod:`.pruning` derive them and break
+ties. A column's minimum is always taken over live rows other than its
+own, so a column whose costs all overflow to inf keeps an inf minimum
+in a live row instead of falling back to the sentinel.
 """
 
 from __future__ import annotations
@@ -248,12 +252,11 @@ def build_saliency_matrix(
             s = score(i, slice(lo, hi))
             sim_sq[i, lo:hi] = sim_sq[lo:hi, i] = s * s
     sim_sq.setflags(write=False)  # so the matrix shares it
-    msq = np.array([mean_outgoing_square(next_layer, j) for j in range(n)])
     return SaliencyMatrix(
         live=np.ones(n, dtype=bool),
         layer_index=layer_index,
         sim_sq=sim_sq,
-        mean_sq_out=msq,
+        mean_sq_out=_mean_outgoing_squares(next_layer),
     )
 
 
@@ -269,20 +272,57 @@ def _cost_columns(sim_sq, msq, live, columns) -> np.ndarray:
     return costs
 
 
+def _mean_outgoing_squares(next_layer: FcLayer) -> np.ndarray:
+    """:func:`mean_outgoing_square` of every neuron, bit for bit, in one call."""
+    # Each contiguous row of the transpose is summed pairwise, as the one
+    # contiguous column copy mean_outgoing_square squares and sums.
+    t = np.ascontiguousarray(next_layer.weights.T)
+    return np.mean(t * t, axis=1)
+
+
+def _first_live_row(costs, live, column) -> int:
+    """First row of the smallest cost among live rows other than ``column``, else ``column``.
+
+    That is ``costs.argmin()``, unless every live cost is at least the
+    sentinel held by dead rows and the diagonal, as when all overflow to inf.
+    """
+    row = int(costs.argmin())
+    if row != column and live[row]:
+        return row
+    rows = np.flatnonzero(live)
+    rows = rows[rows != column]
+    return int(rows[np.argmin(costs[rows])]) if rows.size else int(column)
+
+
+def _live_rows(costs, live, columns) -> np.ndarray:
+    """:func:`_first_live_row` of each row ``k`` of ``costs``, for column ``columns[k]``."""
+    rows = costs.argmin(axis=1)
+    for k in np.flatnonzero(~live[rows] | (rows == columns)):
+        rows[k] = _first_live_row(costs[k], live, columns[k])
+    return rows
+
+
 def _column_minima(sim_sq, msq, live, columns) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the first row holding its smallest cost, and that cost, in bounded blocks."""
+    """Per column, the first live row holding its smallest cost, and that cost, in blocks."""
     block = max(1, _BLOCK_BYTES // (8 * live.size))
     if columns.size > block:
         parts = [_column_minima(sim_sq, msq, live, columns[lo : lo + block])
                  for lo in range(0, columns.size, block)]
         return tuple(np.concatenate(part) for part in zip(*parts))
     costs = _cost_columns(sim_sq, msq, live, columns)
-    return costs.argmin(axis=1), costs.min(axis=1)
+    rows = _live_rows(costs, live, columns)
+    return rows, costs[np.arange(columns.size), rows]
 
 
-def _cheapest(rows, mins) -> tuple[int, int]:
-    """First smallest ``mins[k]`` as ``(rows[k], k)``: ties go to the least removed, then kept."""
-    k = int(np.argmin(mins))
+def _cheapest(rows, mins, live=None) -> tuple[int, int]:
+    """First smallest ``mins[k]`` as ``(rows[k], k)``: ties go to the least removed, then kept.
+
+    With ``live``, only live ``k`` count; dead entries must hold inf, so
+    they come first only when every live minimum is inf as well.
+    """
+    k = int(mins.argmin())
+    if live is not None and not live[k]:
+        k = int(np.flatnonzero(live)[0])
     return int(rows[k]), k
 
 
@@ -422,10 +462,15 @@ class _CertifiedCosts:
     ``sim_sq`` starts as :func:`_sim_sq_lower_bounds`, and ``exact`` marks
     the entries that hold :func:`build_saliency_matrix`'s value instead. A
     column whose cheapest entry is a bound scores that row exactly, then
-    every row whose lower-bound cost is smaller than the exact one, or
-    equal at a smaller index. Any other row's exact cost is at least its
-    bound, so the first minimum is the one the full matrix gives. Each
-    scored pair is written to both halves and never scored again.
+    every live row whose lower-bound cost is smaller than the exact one,
+    or equal at a smaller index. Any other row's exact cost is at least
+    its bound, so the first minimum is the one the full matrix gives.
+    Dead rows and the diagonal are never scored. Each scored pair is
+    written to both halves and never scored again.
+
+    :meth:`column_minima` scans many columns at once, for the first scan
+    of a layer; :meth:`column_minimum` rescans the one column a removal
+    leaves stale.
     """
 
     def __init__(self, layer: FcLayer, cfg: SimilarityConfig):
@@ -444,10 +489,10 @@ class _CertifiedCosts:
                      for lo in range(0, columns.size, block)]
             return tuple(np.concatenate(part) for part in zip(*parts))
         costs = _cost_columns(self.sim_sq, msq, live, columns)
-        rows = costs.argmin(axis=1)
-        # A column with no other live row finds a dead row or its own diagonal
-        # (marked exact) here, and settles nothing.
-        k = np.flatnonzero(live[rows] & ~self.exact[columns, rows])
+        rows = _live_rows(costs, live, columns)
+        # A column with no other live row keeps its own diagonal, marked
+        # exact, and settles nothing.
+        k = np.flatnonzero(~self.exact[columns, rows])
         if k.size:
             cols, first = columns[k], rows[k]
             self._score(cols, first)
@@ -465,8 +510,29 @@ class _CertifiedCosts:
             if at.size:
                 self._score(cols[at], other)
                 costs[k[at], other] = self.sim_sq[cols[at], other] * msq[cols[at]]
-            rows = costs.argmin(axis=1)
+            rows = _live_rows(costs, live, columns)
         return rows, costs[np.arange(columns.size), rows]
+
+    def column_minimum(self, msq, live, column: int) -> tuple[int, float]:
+        """:meth:`column_minima` of one column, from one row of costs and its argmin."""
+        factor = msq[column]
+        costs = np.where(live, self.sim_sq[column] * factor, DIAGONAL_SENTINEL)
+        costs[column] = DIAGONAL_SENTINEL
+        row = _first_live_row(costs, live, column)
+        if not self.exact[column, row]:
+            # One pair, written in place: the scorer is symmetric bit for bit,
+            # since swapping a pair negates each difference and keeps each sum.
+            s = self.score(column, np.array([row]))[0]
+            self.sim_sq[column, row] = self.sim_sq[row, column] = s * s
+            self.exact[column, row] = self.exact[row, column] = True
+            least = costs[row] = self.sim_sq[column, row] * factor
+            due = (costs <= least).nonzero()[0]
+            if due.size > 1:  # other rows may hold a smaller bound, or exact cost
+                due = due[((due < row) | (costs[due] < least)) & live[due]]
+                self._score(np.full(due.size, column), due)
+                costs[due] = self.sim_sq[column, due] * factor
+                row = _first_live_row(costs, live, column)
+        return row, float(costs[row])
 
     def _score(self, cols, rows) -> None:
         """Write the exact ``sim_sq`` of the pairs ``(cols, rows)`` not scored yet."""

@@ -66,3 +66,27 @@ def module_runs():
 @pytest.fixture(scope="session")
 def acceptance_runs():
     return tuple(_run_seed(s, ACCEPT_DATA, ACCEPT_TRAIN, 3) for s in ACCEPT_SEEDS)
+
+
+def awkward_layer(seed, n, d, log_scale):
+    """Rows at one scale, with exact, one-ulp, scaled, negated and zero copies mixed in."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, d)) * 10.0**log_scale
+    b = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+    for r in range(1, n):
+        source = int(rng.integers(r))
+        kind = rng.integers(6)
+        if kind == 0:
+            w[r], b[r] = w[source], b[source]
+        elif kind == 1:
+            w[r], b[r] = w[source], b[source]
+            k = int(rng.integers(d))
+            w[r, k] = np.nextafter(w[r, k], np.inf)
+        elif kind == 2:
+            c = rng.uniform(0.1, 10.0)
+            w[r], b[r] = c * w[source], c * b[source]
+        elif kind == 3:
+            w[r], b[r] = -w[source], -b[source]
+        elif kind == 4:
+            w[r], b[r] = 0.0, 0.0
+    return w, b

@@ -296,6 +296,21 @@ class TestCutoff:
         assert f"{bad}:2:" in err
 
 
+    def test_a_bad_row_after_a_blank_line_names_its_own_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("step,kept,removed,saliency,test_error\n\n1,1,0,0.5,\n2,1,2,abc,\n")
+        code, _, err = run_cli(["cutoff", "--trace", str(bad)])
+        assert code == 1
+        assert f"{bad}:4:" in err
+
+    def test_a_non_ascii_byte_names_the_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"step,kept,removed,saliency,test_error\n1,1,0,0.5,\n2,1,2,0.\xc35,\n")
+        code, _, err = run_cli(["cutoff", "--trace", str(bad)])
+        assert code == 1
+        assert err.strip() == f"error: {bad}:3: byte 0xc3 is not ascii text"
+
+
 class TestEval:
     def test_matches_in_memory_evaluation(self, model_file):
         code, out, _ = run_cli(["eval", "--model", str(model_file), *DATA_ARGS])
@@ -326,6 +341,22 @@ class TestEval:
         code, _, err = run_cli(["eval", "--model", str(model_file), "--data", str(bad)])
         assert code == 1
         assert f"{bad}:2:" in err
+
+    def test_a_non_ascii_byte_in_the_model_names_the_line(self, model_file, tmp_path):
+        bad = tmp_path / "bad.txt"
+        lines = model_file.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b" ", b" \xc3\xa9", 1)
+        bad.write_bytes(b"\n".join(lines))
+        code, _, err = run_cli(["eval", "--model", str(bad), *DATA_ARGS])
+        assert code == 1
+        assert err.strip() == f"error: {bad}:5: byte 0xc3 is not ascii text"
+
+    def test_a_byte_that_is_not_utf8_in_the_data_names_the_line(self, model_file, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2,3,4,5,6,7,8,0\n1,2,3,4,5,6,7,8,1\n1,2,\xff,4,5,6,7,8,1\n")
+        code, _, err = run_cli(["eval", "--model", str(model_file), "--data", str(bad)])
+        assert code == 1
+        assert err.strip() == f"error: {bad}:3: byte 0xff is not utf-8 text"
 
     @pytest.mark.parametrize("label", ["0.5", "-1"])
     def test_bad_label_names_the_line(self, model_file, tmp_path, label):

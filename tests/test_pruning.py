@@ -36,8 +36,10 @@ from neuronprune import (
     trace_error_curve,
     train,
 )
+from neuronprune.model_io import export_trace, import_trace
 from neuronprune.pruning import _EditState
 from neuronprune.saliency import _cheapest, _column_minima
+from conftest import awkward_layer
 
 HEUR = SimilarityConfig()
 
@@ -470,7 +472,7 @@ def reference_loop(net, layer_index, count, cfg):
     best_row, best = _column_minima(sim_sq, msq, live, np.arange(live.size))
     steps = []
     for step_number in range(1, count + 1):
-        i, j = _cheapest(best_row, best)
+        i, j = _cheapest(best_row, best, live)
         step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
         steps.append(step)
         state.apply(step)
@@ -710,6 +712,23 @@ class TestGramCancellation:
             assert_matches_reference_loop(net, HEUR)
 
     @MODES
+    def test_costs_that_all_overflow_still_prune_to_one(self, mode, tmp_path):
+        # Raw distances between 1e160-sized rows square to inf; every column's
+        # minimum is then inf, above the sentinel on the diagonal.
+        rng = np.random.default_rng(57)
+        net = two_layer_net(rng.normal(size=(4, 2)) * 1e160, rng.normal(size=4))
+        cfg = SimilarityConfig(mode=mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = assert_matches_reference_loop(net, cfg)
+            assert reference_prune(net, 0, 3, cfg)[1] == trace.steps
+            pruned, _ = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg)
+        assert same_network(replay_trace(net, trace), pruned)
+        if mode is SimilarityMode.RAW_DIFFERENCE:
+            assert np.isinf(trace.saliencies()).all()
+        export_trace(trace, tmp_path / "trace.csv")
+        assert import_trace(tmp_path / "trace.csv").steps == trace.steps
+
+    @MODES
     def test_two_zero_rows_warn_once(self, mode):
         w, b = scaled_rows(55, 6, 5, 1.0)
         w[[1, 4]] = 0.0
@@ -772,6 +791,36 @@ class TestExactScoring:
         monkeypatch.setattr(saliency, "build_saliency_matrix", refuse)
         net, layer_index = LOOP_CASES["tied"]
         prune_layer(net, layer_index, 15, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+
+
+class TestRescanMatchesReferenceLoop:
+    """Per-column rescans against the full-matrix loop, on duplicate-heavy layers."""
+
+    @MODES
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0], ids=["one", "half", "full"])
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        d=st.integers(1, 12),
+        log_scale=st.floats(-4.0, 4.0),
+    )
+    def test_prune_layer_equals_reference_loop(self, mode, share, seed, n, d, log_scale):
+        net = two_layer_net(*awkward_layer(seed, n, d, log_scale), seed=seed % 1000)
+        count = max(1, round(share * (n - 1)))
+        cfg = SimilarityConfig(mode=mode)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            scored = record_scored_pairs(patch)
+            pruned, trace = prune_layer(
+                net, 0, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+            )
+            patch.undo()
+            want_net, want_steps = reference_loop(net, 0, count, cfg)
+        assert trace.steps == want_steps
+        assert same_network(pruned, want_net)
+        assert len(set(scored)) == len(scored)
+        assert all(a != b for a, b in scored)
 
 
 class TestCompressionArithmetic:

@@ -34,7 +34,8 @@ from neuronprune import (
     verify_contraction,
 )
 
-from neuronprune.saliency import _sim_sq_lower_bounds
+from neuronprune.saliency import _mean_outgoing_squares, _sim_sq_lower_bounds
+from conftest import awkward_layer
 
 RAW = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
 HEUR = SimilarityConfig()
@@ -148,6 +149,15 @@ class TestMeanOutgoingSquare:
         nxt = FcLayer(np.ones((2, 3)), np.zeros(2), Activation.IDENTITY)
         with pytest.raises(ValueError):
             mean_outgoing_square(nxt, 3)
+
+    # Heights on both sides of the pairwise sum's 8-wide unroll and 128-wide blocks.
+    @pytest.mark.parametrize("height", [1, 7, 8, 9, 127, 128, 129, 1000])
+    def test_every_column_in_one_call_matches_bit_for_bit(self, height):
+        rng = np.random.default_rng(height)
+        weights = rng.normal(size=(height, 37)) * 10.0 ** rng.uniform(-3, 3, size=37)
+        nxt = FcLayer(weights, np.zeros(height), Activation.IDENTITY)
+        want = np.array([mean_outgoing_square(nxt, j) for j in range(37)])
+        assert _mean_outgoing_squares(nxt).tobytes() == want.tobytes()
 
 
 class TestSaliencyMatrix:
@@ -372,30 +382,6 @@ def checked_lower_bounds(w, b, cfg):
     return bounds, exact
 
 
-def awkward_layer(seed, n, d, log_scale):
-    """Rows at one scale, with exact, one-ulp, scaled, negated and zero copies mixed in."""
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=(n, d)) * 10.0**log_scale
-    b = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
-    for r in range(1, n):
-        source = int(rng.integers(r))
-        kind = rng.integers(6)
-        if kind == 0:
-            w[r], b[r] = w[source], b[source]
-        elif kind == 1:
-            w[r], b[r] = w[source], b[source]
-            k = int(rng.integers(d))
-            w[r, k] = np.nextafter(w[r, k], np.inf)
-        elif kind == 2:
-            c = rng.uniform(0.1, 10.0)
-            w[r], b[r] = c * w[source], c * b[source]
-        elif kind == 3:
-            w[r], b[r] = -w[source], -b[source]
-        elif kind == 4:
-            w[r], b[r] = 0.0, 0.0
-    return w, b
-
-
 class TestCertifiedLowerBounds:
     @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
     @given(
@@ -470,11 +456,26 @@ class TestCertifiedColumnMinima:
             costs.sim_sq[i, j] = costs.sim_sq[j, i] = value
         return costs, exact
 
+    @staticmethod
+    def minima(costs, msq, live, cols):
+        return costs.column_minima(msq, live, cols)
+
     def scan(self, costs, exact, live=(True, True, True, True), factor=0.75, cols=(0,)):
         live, msq, cols = np.array(live), np.full(4, factor), np.array(cols)
-        got = costs.column_minima(msq, live, cols)
+        scored, score = [], costs.score
+
+        def recording(a, b):
+            a, b = np.broadcast_arrays(a, b)
+            scored.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            return score(a, b)
+
+        costs.score = recording
+        got = self.minima(costs, msq, live, cols)
         want = saliency._column_minima(exact, msq, live, cols)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        # Dead rows and the diagonal are never scored, and no pair is scored twice.
+        assert all(a != b and live[a] and live[b] for a, b in scored)
+        assert len(set(scored)) == len(scored)
         return got[0].tolist()
 
     def test_a_loose_bound_does_not_hide_the_minimum(self):
@@ -492,17 +493,47 @@ class TestCertifiedColumnMinima:
         costs, exact = self.costs_with_bounds({(0, 3): 0.0, (0, 2): 0.5})
         assert self.scan(costs, exact, cols=(0, 2)) == [2, 1]
 
+    def test_an_exact_entry_below_a_newly_scored_one_wins(self):
+        # An earlier scan scored (0, 2); row 1's loose bound is picked and scored first.
+        costs, exact = self.costs_with_bounds({(0, 1): 0.0})
+        costs.sim_sq[0, 2] = costs.sim_sq[2, 0] = exact[0, 2]
+        costs.exact[0, 2] = costs.exact[2, 0] = True
+        assert self.scan(costs, exact) == [2]
+        assert not costs.exact[0, 3]
+
     def test_dead_rows_are_never_scored(self):
         costs, exact = self.costs_with_bounds({(0, 1): 0.0})
         assert self.scan(costs, exact, live=(True, False, True, True)) == [2]
         assert not costs.exact[0, 1]
 
     def test_dead_rows_are_never_scored_when_live_costs_overflow(self):
-        # Every live cost is inf, so the reference's first minimum is the diagonal's sentinel.
+        # Every live cost is inf, above the sentinel of the diagonal and the
+        # dead row; the first live row still wins.
         costs, exact = self.costs_with_bounds({(0, 3): 0.0})
         with np.errstate(over="ignore"):
-            assert self.scan(costs, exact, live=(True, False, True, True), factor=1e308) == [0]
+            assert self.scan(costs, exact, live=(True, False, True, True), factor=1e308) == [2]
         assert not costs.exact[0, 1]
+
+    def test_bounds_that_all_overflow_score_only_the_first_live_row(self):
+        costs, exact = self.costs_with_bounds({})
+        with np.errstate(over="ignore"):
+            assert self.scan(costs, exact, live=(True, False, True, True), factor=1e308) == [2]
+        assert costs.exact[0, 2]
+        assert not costs.exact[0, 1] and not costs.exact[0, 3]
+
+    def test_a_column_with_no_other_live_row_scores_nothing(self):
+        costs, exact = self.costs_with_bounds({})
+        assert self.scan(costs, exact, live=(True, False, False, False)) == [0]
+        assert not costs.exact[0, 1:].any()
+
+
+class TestCertifiedColumnMinimum(TestCertifiedColumnMinima):
+    """The same cases, each column rescanned on its own."""
+
+    @staticmethod
+    def minima(costs, msq, live, cols):
+        found = [costs.column_minimum(msq, live, int(c)) for c in cols]
+        return np.array([row for row, _ in found]), np.array([cost for _, cost in found])
 
 
 class TestStorage:

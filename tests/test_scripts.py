@@ -1,0 +1,28 @@
+"""Smoke tests for the benchmark scripts, run as a user runs them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_prune_widths_counts_the_pairs_it_scores():
+    # The script wraps private saliency names; if they move, its counts
+    # must fail here rather than read 0.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_prune_widths.py"),
+         "--widths", "64", "--fan-ins", "16", "--timeout", "120"],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2  # one per similarity mode
+    for line in lines:
+        record = json.loads(line)
+        assert record["timed_out"] is False
+        assert "error" not in record
+        assert record["width"] == 64 and record["fan_in"] == 16
+        assert 0 < record["pairs_scored"] <= record["all_pairs"] == 64 * 63 // 2
