@@ -108,17 +108,22 @@ class CutoffReport:
 
 
 def histogram(trace: PruneTrace, n_bins: int) -> SaliencyHistogram:
-    """Bin the trace's saliencies into equal-width bins over [min, max].
+    """Bin the trace's finite saliencies into equal-width bins over [min, max].
 
-    The rightmost bin includes its upper edge. An all-identical trace
-    still produces a histogram (numpy widens the degenerate range by one
-    unit) but is flagged so callers can refuse to read meaning into it.
+    The rightmost bin includes its upper edge. Inf saliencies (merges
+    whose cost overflowed) fall outside every bin. An all-identical
+    trace still produces a histogram (numpy widens the degenerate range
+    by one unit) but is flagged so callers can refuse to read meaning
+    into it.
     """
     if len(trace) == 0:
         raise ValueError("cannot histogram an empty trace")
     if n_bins < 2:
         raise ValueError("need at least two bins")
     values = trace.saliencies()
+    values = values[np.isfinite(values)]
+    if len(values) == 0:
+        raise ValueError("cannot histogram a trace with no finite saliency")
     degenerate = bool(values.min() == values.max())
     counts, edges = np.histogram(values, bins=n_bins)
     return SaliencyHistogram(
@@ -135,7 +140,8 @@ def data_free_cutoff(
     """Recommend a removal count from the saliency histogram alone.
 
     The cutoff is the center of the histogram's mode bin; the prediction
-    is ``floor(fraction x number of steps with saliency <= cutoff)``.
+    is ``floor(fraction x number of steps with saliency <= cutoff)``, so
+    an inf step never counts.
     Counting sub-cutoff steps, rather than taking the index of the last
     one, keeps the rule stable when the trace is locally non-monotone.
     Requires a full trace: a partial one would hide part of the spectrum
@@ -173,16 +179,23 @@ def _slope_mass(saliencies: np.ndarray) -> np.ndarray:
     """Cumulative absolute slope of the trace, normalized to end at 1.
 
     Slopes come from centered differences over a 5-step window, clamped
-    at the ends. A tiny uniform floor keeps the mass strictly increasing
-    even on perfectly flat stretches.
+    at the ends. A window that reaches an inf saliency counts as steep
+    as the steepest finite one (or 1 when none is), so the mass stays
+    finite. A tiny uniform floor keeps the mass strictly increasing even
+    on perfectly flat stretches.
     """
     n = len(saliencies)
     slopes = np.empty(n)
-    for t in range(n):
-        lo = max(t - 2, 0)
-        hi = min(t + 2, n - 1)
-        slopes[t] = (saliencies[hi] - saliencies[lo]) / (hi - lo) if hi > lo else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for t in range(n):
+            lo = max(t - 2, 0)
+            hi = min(t + 2, n - 1)
+            slopes[t] = (saliencies[hi] - saliencies[lo]) / (hi - lo) if hi > lo else 0.0
     weights = np.abs(slopes)
+    steep = ~np.isfinite(weights)
+    if steep.any():
+        finite_max = weights[~steep].max(initial=0.0)
+        weights[steep] = finite_max if finite_max > 0 else 1.0
     floor = weights.max() * 1e-6 if weights.max() > 0 else 1.0
     weights = weights + floor
     mass = np.cumsum(weights)

@@ -1,20 +1,26 @@
 """Text serialization for networks, traces, reports, and error curves.
 
-Everything is plain text with decimal numbers printed at 17 significant
-digits, which is enough to reproduce any double exactly on reload, so a
-save/load round trip is bit-exact. Text keeps the files diffable and lets
-golden examples live in the test suite and the format documentation.
+Everything is line-oriented ASCII, so files stay diffable and golden
+examples can live in the test suite and the format documentation.
 
-Model file layout (one token stream, line oriented)::
+Model files (format version 2) write each weight as the 16 lowercase hex
+digits of its IEEE-754 big-endian bit pattern, so a save/load round trip
+is bit-exact by construction, a cut inside a value is detectable, and
+reading a value costs a hex decode instead of a decimal parse. Layout::
 
-    neuronprune-model 1
+    neuronprune-model 2
     layers <L>
     layer <index> <activation> <n_in> <n_out>
-    <n_out lines of n_in weights, one line per neuron>
+    <n_out lines of n_in values, one line per neuron>
     bias <n_out values>
     ... repeated per layer ...
 
-Trace CSV header is exactly ``step,kept,removed,saliency,test_error``;
+Values on a line are separated by single spaces. Version 1 files, the
+same layout with decimal values, still load; only version 2 is written.
+
+Traces, curves and reports stay decimal: floats are printed at 17
+significant digits, enough to reproduce any double exactly on reload.
+The trace CSV header is exactly ``step,kept,removed,saliency,test_error``;
 ``kept`` is empty for steps without surgery and ``test_error`` is empty
 when it was not measured.
 """
@@ -47,7 +53,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "neuronprune-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 TRACE_HEADER = "step,kept,removed,saliency,test_error"
 CURVE_HEADER = "step,test_error"
 
@@ -64,22 +70,20 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _row_format(count: int) -> str:
-    # '%.17g' % v is the same string as format(v, ".17g"), i.e. _fmt(v)
-    return " ".join(["%.17g"] * count) + "\n"
+def _hex_row(values: np.ndarray) -> str:
+    """Each value's big-endian float64 bits as 16 hex digits, single spaces between."""
+    return values.astype(">f8").tobytes().hex(" ", 8)
 
 
 def save_model(net: Network, path) -> None:
+    """Write ``net`` as a version-2 model file, one row at a time."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\nlayers {len(net.layers)}\n")
         for index, layer in enumerate(net.layers):
             fh.write(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}\n")
-            row_format = _row_format(layer.n_in)
-            # one row at a time: a whole-matrix tolist() holds every value as
-            # a Python float at once
             for row in layer.weights:
-                fh.write(row_format % tuple(row.tolist()))
-            fh.write("bias " + _row_format(layer.n_out) % tuple(layer.bias.tolist()))
+                fh.write(_hex_row(row) + "\n")
+            fh.write("bias " + _hex_row(layer.bias) + "\n")
 
 
 class _LineReader:
@@ -110,6 +114,23 @@ def _parse_floats(reader: _LineReader, line: str, count: int, what: str) -> np.n
         reader.fail(f"{what}: not a decimal number")
 
 
+def _parse_hex(reader: _LineReader, line: str, count: int, what: str) -> np.ndarray:
+    if len(line) != 17 * count - 1 or line[16::17] != " " * (count - 1):
+        reader.fail(f"{what}: expected {count} values of 16 hex digits, single spaces between")
+    try:
+        raw = bytes.fromhex(line)
+    except ValueError:
+        raw = b""
+    # fromhex also skips whitespace inside a digit group, which leaves fewer bytes
+    if len(raw) != 8 * count:
+        reader.fail(f"{what}: not 16-digit hexadecimal values")
+    return np.frombuffer(raw, dtype=">f8")
+
+
+# Row parser per readable format version.
+_ROW_PARSERS = {1: _parse_floats, 2: _parse_hex}
+
+
 def _parse_int(reader: _LineReader, token: str, what: str) -> int:
     try:
         return int(token)
@@ -124,9 +145,12 @@ def load_model(path) -> Network:
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         reader.fail(f"not a {MODEL_MAGIC} file")
     version = _parse_int(reader, magic[1], "format version")
-    if version != MODEL_VERSION:
+    parse_row = _ROW_PARSERS.get(version)
+    if parse_row is None:
+        readable = " and ".join(str(v) for v in _ROW_PARSERS)
         raise ModelVersionError(
-            f"{path}:1: format version {version} unsupported (this reader handles {MODEL_VERSION})"
+            f"{path}:{reader.pos}: format version {version} unsupported"
+            f" (this reader handles {readable})"
         )
     header = reader.next_line("layer count").split()
     if len(header) != 2 or header[0] != "layers":
@@ -150,17 +174,16 @@ def load_model(path) -> Network:
         if n_in < 1 or n_out < 1:
             reader.fail("layer dimensions must be positive")
         rows = [
-            _parse_floats(reader, reader.next_line(f"weight row {k}"), n_in, f"weight row {k}")
+            parse_row(reader, reader.next_line(f"weight row {k}"), n_in, f"weight row {k}")
             for k in range(n_out)
         ]
         bias_line = reader.next_line("bias line")
         if not bias_line.startswith("bias"):
             reader.fail("expected a 'bias' line after the weight rows")
-        bias = _parse_floats(reader, bias_line[4:].strip(), n_out, "bias")
+        bias = parse_row(reader, bias_line[4:].strip(), n_out, "bias")
         try:
-            layers.append(
-                FcLayer(weights=np.array(rows), bias=bias, activation=tags[parts[2]])
-            )
+            # FcLayer stacks the rows into one native float64 matrix itself
+            layers.append(FcLayer(weights=rows, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:
             reader.fail(str(exc))
     if reader.pos < len(reader.lines) and any(l.strip() for l in reader.lines[reader.pos :]):

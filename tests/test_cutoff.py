@@ -1,18 +1,29 @@
 """Histogram-mode and error-sampling rules for choosing the removal count."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuronprune import (
+    Activation,
     CutoffMethod,
+    FcLayer,
+    Network,
+    PolicyKind,
+    PrunePolicy,
     PruneStep,
     PruneTrace,
     data_driven_cutoff,
     data_free_cutoff,
     histogram,
+    prune_layer,
+    SimilarityConfig,
+    SimilarityMode,
 )
+from neuronprune.cutoff import _slope_mass
 
 
 def trace_of(saliencies, full=True):
@@ -217,6 +228,98 @@ class TestDataDriven:
             rep = data_driven_cutoff(tr, oracle, budget=3, max_error_increase=1.0)
         assert rep.warning is not None
         assert rep.predicted_count <= 500
+
+
+def overflowing_trace():
+    """Raw-mode prune-to-one of a 6x2 ReLU layer whose first three rows are
+    scaled by 1e160: the last merges' costs overflow to inf."""
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(6, 2))
+    w[:3] *= 1e160
+    net = Network(
+        layers=(
+            FcLayer(w, rng.normal(size=6), Activation.RELU),
+            FcLayer(rng.normal(size=(3, 6)), rng.normal(size=3), Activation.IDENTITY),
+        ),
+        input_dim=2,
+    )
+    cfg = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, trace = prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg)
+    return trace
+
+
+def reference_slope_mass(saliencies):
+    """``_slope_mass`` before inf saliencies were handled; all-finite traces must match it."""
+    n = len(saliencies)
+    slopes = np.empty(n)
+    for t in range(n):
+        lo = max(t - 2, 0)
+        hi = min(t + 2, n - 1)
+        slopes[t] = (saliencies[hi] - saliencies[lo]) / (hi - lo) if hi > lo else 0.0
+    weights = np.abs(slopes)
+    floor = weights.max() * 1e-6 if weights.max() > 0 else 1.0
+    weights = weights + floor
+    mass = np.cumsum(weights)
+    return mass / mass[-1]
+
+
+class TestInfSaliencies:
+    def test_overflowing_layer_records_inf_steps(self):
+        sal = overflowing_trace().saliencies()
+        assert np.isfinite(sal[:2]).all() and np.isinf(sal[2:]).all()
+
+    def test_data_free_bins_only_finite_saliencies(self):
+        trace = overflowing_trace()
+        finite = trace.saliencies()[:2]
+        h = histogram(trace, 4)
+        assert h.counts.sum() == 2
+        np.testing.assert_array_equal(h.bin_edges, np.histogram(finite, bins=4)[1])
+        rep = data_free_cutoff(trace, n_bins=4)
+        assert np.isfinite(rep.cutoff_saliency)
+        assert rep.predicted_count == np.count_nonzero(finite <= rep.cutoff_saliency)
+        assert rep.predicted_count <= 2  # an inf step never counts
+
+    def test_trace_without_finite_saliency_is_refused(self):
+        trace = trace_of([np.inf, np.inf, np.inf])
+        for rule in (lambda: histogram(trace, 4), lambda: data_free_cutoff(trace)):
+            with pytest.raises(ValueError, match="no finite saliency"):
+                rule()
+
+    @pytest.mark.parametrize("saliencies", [
+        "overflowing",
+        [np.inf, np.inf, np.inf, np.inf],
+        [0.1] * 10 + [np.inf] * 3,
+        [0.0, 0.5, 1.0, 3.0] + [np.inf] * 6,
+    ])
+    def test_slope_mass_stays_finite_and_ends_at_one(self, saliencies):
+        if saliencies == "overflowing":
+            saliencies = overflowing_trace().saliencies()
+        mass = _slope_mass(np.asarray(saliencies, dtype=np.float64))
+        assert np.isfinite(mass).all()
+        assert (np.diff(mass) >= 0).all()
+        assert mass[-1] == 1.0
+
+    @given(st.lists(st.floats(0.0, 1e12), min_size=1, max_size=40))
+    @settings(max_examples=60)
+    def test_slope_mass_unchanged_on_finite_traces(self, saliencies):
+        values = np.asarray(saliencies, dtype=np.float64)
+        assert _slope_mass(values).tobytes() == reference_slope_mass(values).tobytes()
+
+    def test_data_driven_sweeps_an_inf_trace(self):
+        calls = []
+
+        def oracle(step):
+            calls.append(step)
+            return 1.0 + step
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = data_driven_cutoff(overflowing_trace(), oracle, budget=5, max_error_increase=2.5)
+        assert rep.predicted_count == 2
+        assert rep.warning is None
+        # every slope window reaches an inf step, so the sweep is spaced evenly
+        assert calls == [0, 3, 5, 1, 2]
 
 
 SPAM_CSV = __import__("pathlib").Path(__file__).resolve().parent.parent / "data" / "spambase.csv"

@@ -2,9 +2,12 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuronprune import (
     Activation,
@@ -37,6 +40,19 @@ bias 0.125 -1
 layer 1 identity 2 1
 3 -0.5
 bias 0.75
+"""
+
+# GOLDEN_221 in format version 2: each value's big-endian float64 bits in hex.
+GOLDEN_221_V2 = """\
+neuronprune-model 2
+layers 2
+layer 0 relu 2 2
+3fe0000000000000 bfd0000000000000
+3ff8000000000000 4000000000000000
+bias 3fc0000000000000 bff0000000000000
+layer 1 identity 2 1
+4008000000000000 bfe0000000000000
+bias 3fe8000000000000
 """
 
 
@@ -99,21 +115,29 @@ class TestModelRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
-def reference_save(net, path):
-    """The writer ``save_model`` must match byte for byte: one
-    ``format(v, ".17g")`` per value, lines joined once at the end."""
-
-    def fmt(v):
-        return format(float(v), ".17g")
-
-    lines = ["neuronprune-model 1", f"layers {len(net.layers)}"]
+def _reference_lines(net, version, fmt):
+    lines = [f"neuronprune-model {version}", f"layers {len(net.layers)}"]
     for index, layer in enumerate(net.layers):
         lines.append(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}")
         for row in layer.weights:
             lines.append(" ".join(fmt(v) for v in row))
         lines.append("bias " + " ".join(fmt(v) for v in layer.bias))
+    return "\n".join(lines) + "\n"
+
+
+def reference_save(net, path):
+    """A format-version-1 writer: one ``format(v, ".17g")`` per value."""
+    text = _reference_lines(net, 1, lambda v: format(float(v), ".17g"))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+
+
+def reference_save_v2(net, path):
+    """The writer ``save_model`` must match byte for byte: one
+    ``struct.pack(">d", v).hex()`` per value, lines joined once at the end."""
+    text = _reference_lines(net, 2, lambda v: struct.pack(">d", float(v)).hex())
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 class TestWriterBytes:
@@ -141,20 +165,35 @@ class TestWriterBytes:
         net = Network(layers=tuple(layers), input_dim=net.input_dim)
         ours, theirs = tmp_path / "ours.model", tmp_path / "ref.model"
         save_model(net, ours)
-        reference_save(net, theirs)
+        reference_save_v2(net, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
-        loaded = load_model(ours)
-        for la, lb in zip(net.layers, loaded.layers):
-            assert la.weights.tobytes() == lb.weights.tobytes()
-            assert la.bias.tobytes() == lb.bias.tobytes()
+        v1 = tmp_path / "v1.model"
+        reference_save(net, v1)
+        for path in (ours, v1):
+            loaded = load_model(path)
+            for la, lb in zip(net.layers, loaded.layers):
+                assert la.weights.tobytes() == lb.weights.tobytes()
+                assert la.bias.tobytes() == lb.bias.tobytes()
 
 
 class TestGoldenFile:
     def test_save_reproduces_golden_bytes(self, tmp_path):
-        src, out = tmp_path / "golden.model", tmp_path / "again.model"
-        src.write_text(GOLDEN_221)
-        save_model(load_model(src), out)
-        assert out.read_bytes() == GOLDEN_221.encode("ascii")
+        # a version-1 file is rewritten as version 2; version 2 reproduces itself
+        for golden in (GOLDEN_221, GOLDEN_221_V2):
+            src, out = tmp_path / "golden.model", tmp_path / "again.model"
+            src.write_text(golden)
+            save_model(load_model(src), out)
+            assert out.read_bytes() == GOLDEN_221_V2.encode("ascii")
+
+    def test_both_versions_load_to_the_same_network(self, tmp_path):
+        v1, v2 = tmp_path / "v1.model", tmp_path / "v2.model"
+        v1.write_text(GOLDEN_221)
+        v2.write_text(GOLDEN_221_V2)
+        a, b = load_model(v1), load_model(v2)
+        for la, lb in zip(a.layers, b.layers):
+            assert la.activation is lb.activation
+            assert la.weights.tobytes() == lb.weights.tobytes()
+            assert la.bias.tobytes() == lb.bias.tobytes()
 
     def test_minimal_model_loads_to_documented_layout(self, tmp_path):
         p = tmp_path / "tiny.model"
@@ -177,15 +216,24 @@ class TestModelErrors:
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         net = random_net(5)
         p = tmp_path / "full.model"
-        save_model(net, p)
+        reference_save(net, p)
         text = p.read_text()
-        # cuts at token or line boundaries; a cut inside a number's digits is
-        # indistinguishable from a shorter literal in a plain text format
+        # version 1: cuts at token or line boundaries; a cut inside a number's
+        # digits is indistinguishable from a shorter decimal literal
         cuts = (len(text) // 3, len(text) // 2, text.rfind(" "), text.rstrip().rfind("\n"))
         for cut in cuts:
             q = tmp_path / "cut.model"
             q.write_text(text[:cut])
             with pytest.raises(ModelFormatError):
+                load_model(q)
+        # version 2: every value has a fixed width, so a cut at any byte that
+        # drops more than the final newline is caught
+        save_model(random_net(5, (3, 2, 2), Activation.RELU), p)
+        text = p.read_text()
+        for cut in range(len(text.rstrip())):
+            q = tmp_path / "cut.model"
+            q.write_text(text[:cut])
+            with pytest.raises(ModelFormatError, match=re.escape(f"{q}:")):
                 load_model(q)
         q = tmp_path / "empty.model"
         q.write_text("")
@@ -198,6 +246,33 @@ class TestModelErrors:
         with pytest.raises(ModelVersionError):
             load_model(p)
         assert issubclass(ModelVersionError, ModelFormatError)
+
+    def test_version_error_names_both_readable_versions(self, tmp_path):
+        for version, golden in ((1, GOLDEN_221), (2, GOLDEN_221_V2)):
+            p = tmp_path / f"v{version}.model"
+            p.write_text(golden)
+            assert load_model(p).input_dim == 2
+        p = tmp_path / "v9.model"
+        p.write_text(GOLDEN_221_V2.replace("neuronprune-model 2", "neuronprune-model 9"))
+        message = f"{p}:1: format version 9 unsupported (this reader handles 1 and 2)"
+        with pytest.raises(ModelVersionError, match=re.escape(message)):
+            load_model(p)
+
+    @pytest.mark.parametrize("row,reason", [
+        ("3fe0000000000000 bfd000000000000g", "not 16-digit hexadecimal"),
+        ("3fe0000000000000 bfd0000000000000 0", "expected 2 values of 16 hex digits"),
+        ("3fe000000000000 0bfd0000000000000", "expected 2 values of 16 hex digits"),
+        ("3fe0000000000000  fd0000000000000", "not 16-digit hexadecimal"),
+        ("3fe00000000000 0 bfd0000000000000", "not 16-digit hexadecimal"),
+        ("3fe000000000000\t0 bfd0000000000000", "expected 2 values of 16 hex digits"),
+        ("3fe00000000000\t\t bfd0000000000000", "not 16-digit hexadecimal"),
+        ("0.5 -0.25", "expected 2 values of 16 hex digits"),
+    ])
+    def test_bad_hex_row_names_its_line(self, tmp_path, row, reason):
+        p = tmp_path / "hex.model"
+        p.write_text(GOLDEN_221_V2.replace("3fe0000000000000 bfd0000000000000", row))
+        with pytest.raises(ModelFormatError, match=re.escape(f"{p}:4: weight row 0: {reason}")):
+            load_model(p)
 
     def test_unknown_magic_rejected(self, tmp_path):
         p = tmp_path / "alien.model"
@@ -234,6 +309,42 @@ class TestModelErrors:
             load_model(p)
         assert "ctx.model" in str(exc.value)
         assert ":" in str(exc.value)
+
+
+def mutate(text: bytes, kind: str, at: int, flip: int) -> bytes:
+    """One damaged copy of a model file; ``at`` is reduced to a valid position."""
+    if kind == "truncate":
+        return text[: at % (len(text) + 1)]
+    if kind == "flip":
+        at %= len(text)
+        return text[:at] + bytes([text[at] ^ flip]) + text[at + 1 :]
+    lines = text.splitlines(keepends=True)
+    at %= len(lines)
+    if kind == "drop":
+        return b"".join(lines[:at] + lines[at + 1 :])
+    return b"".join(lines[: at + 1] + lines[at:])  # duplicate
+
+
+class TestReaderFuzz:
+    @given(
+        st.sampled_from([1, 2]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 3), min_size=3, max_size=4),
+        st.sampled_from(["truncate", "flip", "drop", "duplicate"]),
+        st.integers(0, 10**6),
+        st.integers(1, 255),
+    )
+    @settings(max_examples=400)
+    def test_damaged_file_loads_or_names_its_path(
+        self, tmp_path_factory, version, seed, sizes, kind, at, flip
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "damaged.model"
+        (save_model if version == 2 else reference_save)(random_net(seed, tuple(sizes)), path)
+        path.write_bytes(mutate(path.read_bytes(), kind, at, flip))
+        try:
+            load_model(path)
+        except ModelFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
 
 
 class TestTraceCsv:

@@ -26,3 +26,24 @@ def test_bench_prune_widths_counts_the_pairs_it_scores():
         assert "error" not in record
         assert record["width"] == 64 and record["fan_in"] == 16
         assert 0 < record["pairs_scored"] <= record["all_pairs"] == 64 * 63 // 2
+
+
+def test_bench_model_io_round_trips_bit_exact(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_model_io.py"),
+         "--shapes", "64x16", "--timeout", "120", "--dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    (line,) = done.stdout.splitlines()
+    record = json.loads(line)
+    assert record["timed_out"] is False
+    assert "error" not in record
+    assert record["width"] == 64 and record["fan_in"] == 16
+    assert record["bit_exact"] is True
+    # version 2 writes 17 bytes per value plus the header and the "bias " prefixes
+    values = 64 * 16 + 64 + 10 * 64 + 10
+    assert 17 * values <= record["file_bytes"] < 17 * values + 200
+    assert record["save_s"] > 0 and record["load_s"] > 0
+    assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
+    assert list(tmp_path.iterdir()) == []  # the model file is cleaned up
