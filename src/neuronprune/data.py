@@ -228,15 +228,18 @@ def load_csv(
             or f"{path}: label must be a nonnegative integer"
         )
     rng = np.random.default_rng(seed)
-    train_idx, val_idx, test_idx = _split_indices(len(labels), fractions, rng)
-    if standardize:
-        mean = features[train_idx].mean(axis=0)
-        std = features[train_idx].std(axis=0)
-        features = (features - mean) / np.maximum(std, 1e-12)
-    return Dataset(
-        features=features,
-        labels=labels,
-        train_idx=train_idx,
-        val_idx=val_idx,
-        test_idx=test_idx,
-    )
+    try:
+        train_idx, val_idx, test_idx = _split_indices(len(labels), fractions, rng)
+        if standardize:
+            mean = features[train_idx].mean(axis=0)
+            std = features[train_idx].std(axis=0)
+            features = (features - mean) / np.maximum(std, 1e-12)
+        return Dataset(
+            features=features,
+            labels=labels,
+            train_idx=train_idx,
+            val_idx=val_idx,
+            test_idx=test_idx,
+        )
+    except ValueError as exc:  # too few rows, or a feature that is not finite
+        raise ValueError(f"{path}: {exc}") from None

@@ -28,6 +28,7 @@ when it was not measured.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -243,12 +244,15 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
             default=0,
         )
         n_original = max(len(steps) + 1, largest + 1, 2)
-    return PruneTrace(
-        layer_index=layer_index,
-        n_original=n_original,
-        steps=tuple(steps),
-        test_errors=tuple(have_errors) if have_errors else None,
-    )
+    try:
+        return PruneTrace(
+            layer_index=layer_index,
+            n_original=n_original,
+            steps=tuple(steps),
+            test_errors=tuple(have_errors) if have_errors else None,
+        )
+    except ValueError as exc:  # steps that are fine alone but not together
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def export_curve(curve, path) -> None:
@@ -260,18 +264,24 @@ def export_curve(curve, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_float(value: float):
+    """``value`` as a JSON number, or as the text report's ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    value = float(value)
+    return value if math.isfinite(value) else _fmt(value)
+
+
 def _report_payload(report: CutoffReport) -> dict:
     payload = {
         "method": report.method.value,
         "predicted_count": report.predicted_count,
-        "cutoff_saliency": report.cutoff_saliency,
-        "fraction": report.fraction,
+        "cutoff_saliency": _json_float(report.cutoff_saliency),
+        "fraction": _json_float(report.fraction),
         "warning": report.warning,
     }
     if isinstance(report.evidence, SaliencyHistogram):
         payload["evidence"] = {
             "kind": "histogram",
-            "bin_edges": [float(v) for v in report.evidence.bin_edges],
+            "bin_edges": [_json_float(v) for v in report.evidence.bin_edges],
             "counts": [int(c) for c in report.evidence.counts],
             "mode_bin": report.evidence.mode_bin,
             "degenerate": report.evidence.degenerate,
@@ -279,7 +289,7 @@ def _report_payload(report: CutoffReport) -> dict:
     else:
         payload["evidence"] = {
             "kind": "error-samples",
-            "samples": [[int(s), float(e)] for s, e in report.evidence],
+            "samples": [[int(s), _json_float(e)] for s, e in report.evidence],
         }
     return payload
 
@@ -310,7 +320,7 @@ def export_report(report: CutoffReport, path) -> None:
 
 
 def export_report_json(report: CutoffReport, path) -> None:
-    """Machine-readable twin of :func:`export_report`."""
+    """Machine-readable twin of :func:`export_report`, strict JSON (RFC 8259)."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(_report_payload(report), fh, indent=2)
+        json.dump(_report_payload(report), fh, indent=2, allow_nan=False)
         fh.write("\n")

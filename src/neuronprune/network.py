@@ -61,13 +61,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e = exp(-|z|) never overflows and is bit for bit the exp of each sign
     # branch: 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z)) elsewhere.
     # Built in place, so only e, 1 + e and the sign mask are ever allocated.
+    # e lies in [0, 1], so its maximum with the mask (as 0 or 1) is the
+    # numerator of each branch; a nan e stays nan.
     z = np.asarray(z, dtype=np.float64)
     e = np.empty_like(z)
     np.abs(z, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    np.copyto(e, 1.0, where=z >= 0)
+    np.maximum(e, z >= 0, out=e)
     e /= d
     return e
 

@@ -28,7 +28,9 @@ the same operations as the scalar functions :func:`raw_difference`,
 :func:`build_saliency_matrix` runs it on every pair and is the public
 exact reference. The loop behind ``pruning.prune_layer`` runs it only on
 the pairs that certified lower bounds from one Gram product cannot rule
-out: ``_CertifiedCosts`` settles every column's exact minimum in blocks
+out. The bounds are symmetric in the pair, so only the product's upper
+triangle is computed, and it is mirrored below the diagonal.
+``_CertifiedCosts`` settles every column's exact minimum in blocks
 once, then rescans one stale column at a time. The matrix stores no
 costs: private helpers shared with :mod:`.pruning` derive them and break
 ties. A column's minimum is always taken over live rows other than its
@@ -38,6 +40,7 @@ in a live row instead of falling back to the sentinel.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -333,17 +336,29 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
+def _one_pair(a, rows) -> bool:
+    """Whether ``score(a, rows)`` asks for one pair: a scalar row and a one-element array."""
+    return isinstance(rows, np.ndarray) and rows.shape == (1,) and np.ndim(a) == 0
+
+
 def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
     """``score(a, b)``: :func:`similarity` of rows ``a`` and ``b``, pair by pair.
 
     ``a`` and ``b`` are row indices, index arrays or slices that broadcast
     together. Each pair takes one BLAS dot per difference, so a score does
-    not depend on which other pairs share the call.
+    not depend on which other pairs share the call. A scalar ``a`` with a
+    one-element index array, as a one-column rescan asks for, takes the
+    same dots and the same rounding steps on scalars, without the batch's
+    dozen array calls.
     """
     w, b = layer.weights, layer.bias
     if cfg.mode is SimilarityMode.RAW_DIFFERENCE:
 
         def raw(a, rows):
+            if _one_pair(a, rows):
+                r = rows[0]
+                diff = w[a] - w[r]
+                return np.array([math.sqrt(np.dot(diff, diff) + np.float_power(b[a] - b[r], 2.0))])
             db = b[a] - b[rows]
             # Python's float ** is libm pow, which differs from db * db in
             # the last bit on some inputs; float_power calls the same pow.
@@ -363,6 +378,15 @@ def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
         )
 
     def heuristic(a, rows):
+        if _one_pair(a, rows):
+            r = rows[0]
+            if zero[a] and zero[r]:
+                return np.zeros(1)
+            du, total = units[a] - units[r], w[a] + w[r]
+            # max() keeps a nan first argument, as np.maximum does.
+            weight_term = math.sqrt(np.dot(du, du)) / max(math.sqrt(np.dot(total, total)), guard)
+            bias_term = abs(b[a] - b[r]) / max(abs(b[a] + b[r]), guard)
+            return np.array([weight_term + bias_term])
         weight_term = np.sqrt(_squared_norms(units[a] - units[rows])) / np.maximum(
             np.sqrt(_squared_norms(w[a] + w[rows])), guard
         )
@@ -378,7 +402,7 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
     """Row ``c``: a certified lower bound on every ``sim_sq[c, r]``, from BLAS products.
 
     Each squared distance comes from the Gram form ``|a|^2 + |b|^2 - 2a.b``
-    of one ``W[lo:hi] @ W.T`` block, less a margin of ``(4d + 64) u
+    of one ``W[lo:hi] @ W[lo:].T`` block, less a margin of ``(4d + 64) u
     (|a| + |b|)^2`` (``u`` the unit roundoff, ``d`` the fan-in). Rounding
     bounds for inner products (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 3.1) make that cover the Gram form's error and
@@ -390,6 +414,12 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
     ``1 - 8 eps`` factor absorbs any last-bit difference in ``pow``.
     The heuristic's unit rows are bounded from the same product, scaled
     by the reciprocal norms, with the units' own rounding in the margin.
+
+    Only the upper triangle is computed: each row block meets the columns
+    from its own first row on, and its entries are mirrored below the
+    diagonal. The exact scorer and the margin are both symmetric in the
+    pair, so a mirrored entry bounds its own pair too, and the result is
+    exactly symmetric.
     """
     w, b = layer.weights, layer.bias
     n, d = w.shape
@@ -405,18 +435,19 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
         unit_sq = nsq * scale * scale
         # Unit rows have norm at most 1 (times 1 + O(d u)), so (|a| + |b|)^2 <= 4.
         unit_margin = 4 * tol + floor * scale.max() * scale.max()
-    block = max(1, _BLOCK_BYTES // (8 * n))
+    # At most n/8 rows, so the blocks' squares cover little of the lower triangle.
+    block = max(1, min(_BLOCK_BYTES // (8 * n), -(-n // 8)))
     bounds = np.empty((n, n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        gram = w[lo:hi] @ w.T
-        margin = np.add.outer(norms[lo:hi], norms)
+        gram = w[lo:hi] @ w[lo:].T
+        margin = np.add.outer(norms[lo:hi], norms[lo:])
         np.square(margin, out=margin)
         margin *= tol
         margin += floor
         if heuristic:
             # Upper bound on |a + b|^2, the heuristic's denominator.
-            den = np.add.outer(nsq[lo:hi], nsq)
+            den = np.add.outer(nsq[lo:hi], nsq[lo:])
             den += gram
             den += gram
             den += margin
@@ -424,9 +455,9 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
             np.maximum(den, guard, out=den)
             # Lower bound on |unit_a - unit_b|^2, reusing the product's storage.
             gram *= scale[lo:hi, None]
-            gram *= -2.0 * scale
+            gram *= -2.0 * scale[lo:]
             gram += unit_sq[lo:hi, None]
-            gram += unit_sq
+            gram += unit_sq[lo:]
             gram -= unit_margin
             np.fmax(gram, 0.0, out=gram)
             np.sqrt(gram, out=gram)
@@ -434,25 +465,30 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
             # Rows past ~1e154 overflow the products and leave nan; 0 still bounds.
             np.fmax(gram, 0.0, out=gram)
             # The bias term is elementwise, so it is computed exactly.
-            np.add.outer(b[lo:hi], b, out=den)
+            np.add.outer(b[lo:hi], b[lo:], out=den)
             np.abs(den, out=den)
             np.maximum(den, guard, out=den)
-            np.subtract.outer(b[lo:hi], b, out=margin)
+            np.subtract.outer(b[lo:hi], b[lo:], out=margin)
             np.abs(margin, out=margin)
             margin /= den
             gram += margin
         else:
             gram *= -2.0
             gram += nsq[lo:hi, None]
-            gram += nsq
+            gram += nsq[lo:]
             gram -= margin
             np.fmax(gram, 0.0, out=gram)
-            np.subtract.outer(b[lo:hi], b, out=margin)
+            np.subtract.outer(b[lo:hi], b[lo:], out=margin)
             np.float_power(margin, 2.0, out=margin)
             gram += margin
             np.sqrt(gram, out=gram)
-        np.square(gram, out=bounds[lo:hi])
-    bounds *= 1.0 - 8 * eps
+        upper = bounds[lo:hi, lo:]
+        np.square(gram, out=upper)
+        upper *= 1.0 - 8 * eps
+        bounds[hi:, lo:hi] = upper[:, hi - lo :].T
+        square = upper[:, : hi - lo]
+        below = np.tril_indices(hi - lo, -1)
+        square[below] = square.T[below]
     return bounds
 
 

@@ -90,3 +90,20 @@ def awkward_layer(seed, n, d, log_scale):
         elif kind == 4:
             w[r], b[r] = 0.0, 0.0
     return w, b
+
+
+def mutate(text: bytes, kind: str, at: int, flip: int) -> bytes:
+    """One damaged copy of a file: cut, one byte flipped, or one line dropped or repeated.
+
+    ``at`` is reduced to a valid position.
+    """
+    if kind == "truncate":
+        return text[: at % (len(text) + 1)]
+    if kind == "flip":
+        at %= len(text)
+        return text[:at] + bytes([text[at] ^ flip]) + text[at + 1 :]
+    lines = text.splitlines(keepends=True)
+    at %= len(lines)
+    if kind == "drop":
+        return b"".join(lines[:at] + lines[at + 1 :])
+    return b"".join(lines[: at + 1] + lines[at:])  # duplicate

@@ -1,5 +1,7 @@
 """Histogram-mode and error-sampling rules for choosing the removal count."""
 
+import json
+import math
 import warnings
 
 import numpy as np
@@ -16,8 +18,10 @@ from neuronprune import (
     PrunePolicy,
     PruneStep,
     PruneTrace,
+    CutoffReport,
     data_driven_cutoff,
     data_free_cutoff,
+    export_report_json,
     histogram,
     prune_layer,
     SimilarityConfig,
@@ -320,6 +324,27 @@ class TestInfSaliencies:
         assert rep.warning is None
         # every slope window reaches an inf step, so the sweep is spaced evenly
         assert calls == [0, 3, 5, 1, 2]
+
+    def test_json_report_of_an_inf_cutoff_is_strict_json(self, tmp_path):
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        accepted = data_driven_cutoff(
+            overflowing_trace(), lambda step: 1.0, budget=5, max_error_increase=2.5
+        )
+        assert accepted.cutoff_saliency == math.inf
+        reports = [
+            accepted,
+            CutoffReport(5, math.inf, CutoffMethod.DATA_DRIVEN, [(5, 1.0), (6, -math.inf)]),
+            CutoffReport(5, math.nan, CutoffMethod.DATA_DRIVEN, [(5, math.nan)]),
+        ]
+        for k, rep in enumerate(reports):
+            path = tmp_path / f"rep{k}.json"
+            export_report_json(rep, path)
+            payload = json.loads(path.read_text(), parse_constant=refuse)
+            assert payload["cutoff_saliency"] == format(rep.cutoff_saliency)
+            errors = [e for _, e in payload["evidence"]["samples"]]
+            assert errors == [e if math.isfinite(e) else format(e) for _, e in rep.evidence]
 
 
 SPAM_CSV = __import__("pathlib").Path(__file__).resolve().parent.parent / "data" / "spambase.csv"

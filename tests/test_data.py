@@ -4,8 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuronprune import Dataset, load_csv, make_blobs
+
+from conftest import mutate
 
 
 class TestDatasetType:
@@ -155,6 +159,36 @@ class TestLoadCsv:
         want = f"^{re.escape(str(p))}:{line}: label must be a nonnegative integer, found '{label}'$"
         with pytest.raises(ValueError, match=want):
             load_csv(p, has_header=has_header)
+
+    @pytest.mark.parametrize("rows, problem", [
+        (["1.0,2.0,0", "2.0,1.0,1"], "dataset too small for the requested split"),
+        (["1.0,inf,0"] + ["2.0,1.0,1"] * 9, "features must be finite"),
+    ])
+    def test_file_level_problems_name_the_path(self, tmp_path, rows, problem):
+        p = tmp_path / "short.csv"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {problem}"):
+            load_csv(p)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["truncate", "flip", "drop", "duplicate"]),
+        st.integers(0, 10**6),
+        st.integers(1, 255),
+    )
+    @settings(max_examples=400)
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+    def test_damaged_file_loads_or_names_its_path(
+        self, tmp_path_factory, seed, header, kind, at, flip
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "damaged.csv"
+        self.write_csv(path, n=10, d=2, header=header, seed=seed % 1000)
+        path.write_bytes(mutate(path.read_bytes(), kind, at, flip))
+        try:
+            load_csv(path, has_header=header)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
 
     def test_split_seed_controls_partition(self, tmp_path):
         p = tmp_path / "data.csv"

@@ -1,6 +1,7 @@
 """Text serialization of networks, traces, curves, and cutoff reports."""
 
 import json
+import math
 import re
 import struct
 
@@ -29,6 +30,8 @@ from neuronprune import (
     load_model,
     save_model,
 )
+
+from conftest import mutate
 
 GOLDEN_221 = """\
 neuronprune-model 1
@@ -311,18 +314,24 @@ class TestModelErrors:
         assert ":" in str(exc.value)
 
 
-def mutate(text: bytes, kind: str, at: int, flip: int) -> bytes:
-    """One damaged copy of a model file; ``at`` is reduced to a valid position."""
-    if kind == "truncate":
-        return text[: at % (len(text) + 1)]
-    if kind == "flip":
-        at %= len(text)
-        return text[:at] + bytes([text[at] ^ flip]) + text[at + 1 :]
-    lines = text.splitlines(keepends=True)
-    at %= len(lines)
-    if kind == "drop":
-        return b"".join(lines[:at] + lines[at + 1 :])
-    return b"".join(lines[: at + 1] + lines[at:])  # duplicate
+def random_trace(seed):
+    """A valid trace of 1 to n - 1 steps on a layer of 3 to 7; some steps delete, some errors."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    order = rng.permutation(n)
+    count = int(rng.integers(1, n))
+    steps = []
+    for k in range(count):
+        survivors = order[k + 1 :]
+        kept = None if rng.random() < 0.2 else int(rng.choice(survivors))
+        saliency = float(rng.exponential() * 10.0 ** rng.integers(-8, 8))
+        if rng.random() < 0.1:
+            saliency = math.inf
+        steps.append(
+            PruneStep(step_number=k + 1, removed=int(order[k]), saliency=saliency, kept=kept)
+        )
+    errors = tuple(rng.uniform(0, 100, count)) if rng.random() < 0.5 else None
+    return PruneTrace(layer_index=0, n_original=n, steps=tuple(steps), test_errors=errors)
 
 
 class TestReaderFuzz:
@@ -344,6 +353,26 @@ class TestReaderFuzz:
         try:
             load_model(path)
         except ModelFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["truncate", "flip", "drop", "duplicate"]),
+        st.integers(0, 10**6),
+        st.integers(1, 255),
+    )
+    @settings(max_examples=400)
+    def test_damaged_trace_imports_or_names_its_path(
+        self, tmp_path_factory, seed, width_known, kind, at, flip
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "damaged.csv"
+        trace = random_trace(seed)
+        export_trace(trace, path)
+        path.write_bytes(mutate(path.read_bytes(), kind, at, flip))
+        try:
+            import_trace(path, n_original=trace.n_original if width_known else None)
+        except ValueError as exc:
             assert str(exc).startswith(f"{path}:")
 
 
@@ -413,6 +442,16 @@ class TestTraceCsv:
         p.write_text("step,kept,removed,saliency,test_error\n1,-1,0,0.5,\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}:2:")):
             import_trace(p, n_original=4)
+
+    @pytest.mark.parametrize("lines, problem", [
+        (["1,2,4,0.5,", "1,2,4,0.5,"], "removed indices must be distinct"),
+        (["2,2,4,0.5,", "1,2,0,0.6,"], "step numbers must be strictly increasing"),
+    ])
+    def test_import_names_its_path_when_steps_disagree(self, tmp_path, lines, problem):
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(["step,kept,removed,saliency,test_error", *lines]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {problem}$"):
+            import_trace(p)
 
     def test_import_rejects_partial_error_column(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -639,6 +639,13 @@ class TestCertifiedLoopMatchesReferenceLoop:
         trace = assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
         assert np.count_nonzero(trace.saliencies() == 0.0) == 8
 
+    @MODES
+    # The bound build takes 2, 17 and 126 rows a block here; no width is a multiple.
+    @pytest.mark.parametrize("width, group", [(9, 3), (129, 3), (1001, 7)])
+    def test_widths_between_bound_blocks(self, mode, width, group):
+        net = near_twin_net(width, n_in=24, width=width, group=group, copies=2)
+        assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
+
     def test_4096_wide_near_twins_raw(self):
         net = near_twin_net(2, n_in=64, width=4096, copies=16)
         assert_matches_reference_loop(net, SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE))

@@ -382,7 +382,34 @@ def checked_lower_bounds(w, b, cfg):
     return bounds, exact
 
 
+def near_twin_rows(seed, n, d, log_scale):
+    """Rows 1e-6 from ``n // 4`` prototypes scaled by ``10**log_scale``.
+
+    Every fifth row is an exact copy of the row before it.
+    """
+    rng = np.random.default_rng(seed)
+    protos = rng.normal(size=(max(1, n // 4), d)) * 10.0**log_scale
+    owner = rng.integers(len(protos), size=n)
+    w = protos[owner] + rng.normal(scale=1e-6, size=(n, d))
+    b = rng.uniform(0.5, 1.5, size=len(protos))[owner] + rng.normal(scale=1e-6, size=n)
+    w[1::5], b[1::5] = w[0:-1:5], b[0:-1:5]
+    return w, b
+
+
 class TestCertifiedLowerBounds:
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("rows", [awkward_layer, near_twin_rows], ids=["awkward", "near-twin"])
+    # Up to 8 rows a block holds one row; 9, 129 and 1000 rows take blocks of 2, 17 and 125.
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 129, 1000])
+    def test_exactly_symmetric_and_never_above_the_exact_entry(self, cfg, rows, n):
+        w, b = rows(n, n, 6, 0.0)
+        if n == 1:
+            bounds = _sim_sq_lower_bounds(FcLayer(w, b, Activation.RELU), cfg)
+        else:
+            bounds, _ = checked_lower_bounds(w, b, cfg)
+        assert bounds.shape == (n, n)
+        assert np.array_equal(bounds, bounds.T)
+
     @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -437,6 +464,49 @@ class TestCertifiedLowerBounds:
         finally:
             tracemalloc.stop()
         assert peak - base < 1.125 * n * n * 8 + 8 * saliency._BLOCK_BYTES + 64 * n
+
+
+class TestOnePairScorer:
+    """A scalar row against a one-element index array skips the batch, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 9),
+        d=st.integers(1, 40),
+        log_scale=st.floats(-6.0, 6.0),
+        zeros=st.booleans(),
+        huge=st.booleans(),
+    )
+    def test_one_pair_equals_the_batch(self, cfg, seed, n, d, log_scale, zeros, huge):
+        w, b = awkward_layer(seed, n, d, log_scale)
+        if zeros:
+            w[:2], b[:2] = 0.0, 0.0
+        if huge:
+            w[-2:] *= 1e160
+            b[-2:] *= 1e160
+        self.assert_one_pair_equals_the_batch(w, b, cfg)
+
+    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    def test_one_pair_equals_the_batch_on_many_pairs(self, cfg):
+        # Some of these bias differences square differently under pow and
+        # under a multiply, and the weight term keeps that last bit.
+        rng = np.random.default_rng(52)
+        b = rng.normal(size=200) * 10.0 ** rng.uniform(-3, 3, 200)
+        self.assert_one_pair_equals_the_batch(rng.normal(size=(200, 1)), b, cfg)
+
+    @staticmethod
+    def assert_one_pair_equals_the_batch(w, b, cfg):
+        n = len(b)
+        rows = np.arange(n)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            score = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), cfg)
+            for a in range(n):
+                batch = score(np.full(n, a), rows)
+                for r in range(n):
+                    one = score(a, np.array([r]))
+                    assert one.shape == (1,) and one.tobytes() == batch[r : r + 1].tobytes()
 
 
 class TestCertifiedColumnMinima:
