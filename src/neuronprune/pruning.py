@@ -17,7 +17,9 @@ tie-break helpers, in O(n^2) total work, from state private to one call:
 * each column caches its exact minimum and the row that holds it, so a
   step takes the first column with the smallest cached minimum and
   rescans, one at a time from one row of costs, only the kept neuron's
-  column and the columns whose minimum sat in the removed row;
+  column and the columns whose minimum sat in the removed row. The first
+  scan runs the same rescan, after scoring every column's cheapest bound
+  in one batch, on the columns that batch leaves unsettled;
 * removals are recorded on a live mask and one copy of the next layer's
   weights, and the pruned ``Network`` is materialized once, at the end.
   :func:`replay_trace` replays a trace on the same state.
@@ -270,7 +272,7 @@ def _run_saliency(
     state = _EditState(net, layer_index)
     live, weights = state.live, state.next_weights
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
-    best_row, best = costs.column_minima(msq, live, np.arange(live.size))
+    best_row, best = costs.column_minima(msq, live)
     steps = []
     for step_number in range(1, count + 1):
         i, j = _cheapest(best_row, best, live)

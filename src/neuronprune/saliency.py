@@ -30,12 +30,12 @@ exact reference. The loop behind ``pruning.prune_layer`` runs it only on
 the pairs that certified lower bounds from one Gram product cannot rule
 out. The bounds are symmetric in the pair, so only the product's upper
 triangle is computed, and it is mirrored below the diagonal.
-``_CertifiedCosts`` settles every column's exact minimum in blocks
-once, then rescans one stale column at a time. The matrix stores no
-costs: private helpers shared with :mod:`.pruning` derive them and break
-ties. A column's minimum is always taken over live rows other than its
-own, so a column whose costs all overflow to inf keeps an inf minimum
-in a live row instead of falling back to the sentinel.
+``_CertifiedCosts`` settles each column's exact minimum with one
+column-scan routine, in the first scan and in every rescan. The matrix
+stores no costs: private helpers shared with :mod:`.pruning` derive them
+and break ties. A column's minimum is always taken over live rows other
+than its own, so a column whose costs all overflow to inf keeps an inf
+minimum in a live row instead of falling back to the sentinel.
 """
 
 from __future__ import annotations
@@ -410,8 +410,10 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
     or thread count; a small absolute term covers underflow. The rest of
     the scorer's arithmetic (sqrt, guard, divide, bias term, square) is
     then repeated on the bounds, and each of those operations is monotone,
-    so no entry exceeds what :func:`build_saliency_matrix` stores; a last
-    ``1 - 8 eps`` factor absorbs any last-bit difference in ``pow``.
+    so no entry exceeds what :func:`build_saliency_matrix` stores. The raw
+    bias difference is squared by a multiply here and by ``pow`` in the
+    scorer; the two differ by at most one ulp, and add, sqrt and square
+    pass that on monotonically, so a last ``1 - 8 eps`` factor absorbs it.
     The heuristic's unit rows are bounded from the same product, scaled
     by the reciprocal norms, with the units' own rounding in the margin.
 
@@ -479,7 +481,7 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
             gram -= margin
             np.fmax(gram, 0.0, out=gram)
             np.subtract.outer(b[lo:hi], b[lo:], out=margin)
-            np.float_power(margin, 2.0, out=margin)
+            np.square(margin, out=margin)
             gram += margin
             np.sqrt(gram, out=gram)
         upper = bounds[lo:hi, lo:]
@@ -504,9 +506,9 @@ class _CertifiedCosts:
     Dead rows and the diagonal are never scored. Each scored pair is
     written to both halves and never scored again.
 
-    :meth:`column_minima` scans many columns at once, for the first scan
-    of a layer; :meth:`column_minimum` rescans the one column a removal
-    leaves stale.
+    :meth:`column_minimum` settles one column. :meth:`column_minima`, the
+    first scan of a layer, scores every column's first bound in one batch
+    and calls it only on the columns that batch leaves unsettled.
     """
 
     def __init__(self, layer: FcLayer, cfg: SimilarityConfig):
@@ -516,41 +518,22 @@ class _CertifiedCosts:
         np.fill_diagonal(self.exact, True)  # the diagonal never enters a cost
         self.pair_block = max(1, _BLOCK_BYTES // (8 * layer.n_in))
 
-    def column_minima(self, msq, live, columns) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_column_minima` of the exact costs, in bounded blocks."""
-        n = live.size
-        block = max(1, _BLOCK_BYTES // (8 * n))
-        if columns.size > block:
-            parts = [self.column_minima(msq, live, columns[lo : lo + block])
-                     for lo in range(0, columns.size, block)]
-            return tuple(np.concatenate(part) for part in zip(*parts))
-        costs = _cost_columns(self.sim_sq, msq, live, columns)
-        rows = _live_rows(costs, live, columns)
-        # A column with no other live row keeps its own diagonal, marked
-        # exact, and settles nothing.
-        k = np.flatnonzero(~self.exact[columns, rows])
-        if k.size:
-            cols, first = columns[k], rows[k]
-            self._score(cols, first)
-            least = self.sim_sq[cols, first] * msq[cols]
-            costs[k, first] = least
-            sub = costs[k]
-            window = (sub < least[:, None]) | (
-                (sub == least[:, None]) & (np.arange(n) < first[:, None])
-            )
-            # Not masked by ``exact``: a pair scored above for another column
-            # still holds its bound in ``costs``, and is refreshed here.
-            window &= live
-            window[np.arange(k.size), cols] = False
-            at, other = np.nonzero(window)
-            if at.size:
-                self._score(cols[at], other)
-                costs[k[at], other] = self.sim_sq[cols[at], other] * msq[cols[at]]
-            rows = _live_rows(costs, live, columns)
-        return rows, costs[np.arange(columns.size), rows]
+    def column_minima(self, msq, live) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_column_minima` of every column's exact costs.
+
+        Each column's first minimum over the bounds is scored in one batch.
+        A column whose first minimum is then exact is settled, as no bound
+        exceeds its exact value; only the rest go to :meth:`column_minimum`.
+        """
+        columns = np.arange(live.size)
+        self._score(columns, _column_minima(self.sim_sq, msq, live, columns)[0])
+        rows, mins = _column_minima(self.sim_sq, msq, live, columns)
+        for c in np.flatnonzero(~self.exact[columns, rows]).tolist():
+            rows[c], mins[c] = self.column_minimum(msq, live, c)
+        return rows, mins
 
     def column_minimum(self, msq, live, column: int) -> tuple[int, float]:
-        """:meth:`column_minima` of one column, from one row of costs and its argmin."""
+        """:func:`_column_minima` of one column's exact costs, from one row of costs."""
         factor = msq[column]
         costs = np.where(live, self.sim_sq[column] * factor, DIAGONAL_SENTINEL)
         costs[column] = DIAGONAL_SENTINEL

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import neuronprune as npr
+import neuronprune.saliency as saliency
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -90,6 +91,25 @@ def awkward_layer(seed, n, d, log_scale):
         elif kind == 4:
             w[r], b[r] = 0.0, 0.0
     return w, b
+
+
+def record_scored_pairs(monkeypatch):
+    """Wrap the exact pair scorer; the returned list gets one (low, high) entry per score."""
+    scored = []
+    real = saliency._pair_scorer
+
+    def wrapped(layer, cfg):
+        score = real(layer, cfg)
+
+        def counted(a, b):
+            a, b = np.broadcast_arrays(a, b)
+            scored.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            return score(a, b)
+
+        return counted
+
+    monkeypatch.setattr(saliency, "_pair_scorer", wrapped)
+    return scored
 
 
 def mutate(text: bytes, kind: str, at: int, flip: int) -> bytes:

@@ -39,7 +39,7 @@ from neuronprune import (
 from neuronprune.model_io import export_trace, import_trace
 from neuronprune.pruning import _EditState
 from neuronprune.saliency import _cheapest, _column_minima
-from conftest import awkward_layer
+from conftest import awkward_layer, record_scored_pairs
 
 HEUR = SimilarityConfig()
 
@@ -750,25 +750,6 @@ class TestGramCancellation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert_matches_reference_loop(net, cfg)
-
-
-def record_scored_pairs(monkeypatch):
-    """Wrap the exact pair scorer; the returned list gets one (low, high) entry per score."""
-    scored = []
-    real = saliency._pair_scorer
-
-    def wrapped(layer, cfg):
-        score = real(layer, cfg)
-
-        def counted(a, b):
-            a, b = np.broadcast_arrays(a, b)
-            scored.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-            return score(a, b)
-
-        return counted
-
-    monkeypatch.setattr(saliency, "_pair_scorer", wrapped)
-    return scored
 
 
 class TestExactScoring:

@@ -35,7 +35,7 @@ from neuronprune import (
 )
 
 from neuronprune.saliency import _mean_outgoing_squares, _sim_sq_lower_bounds
-from conftest import awkward_layer
+from conftest import awkward_layer, record_scored_pairs
 
 RAW = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
 HEUR = SimilarityConfig()
@@ -396,6 +396,15 @@ def near_twin_rows(seed, n, d, log_scale):
     return w, b
 
 
+def bias_dominated_rows(seed, n, d):
+    """Small weights under biases up to 1e3 apart; every fifth row has zero weights."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, -2)
+    b = rng.normal(size=n) * 10.0 ** rng.uniform(-1, 3, size=n)
+    w[::5] = 0.0
+    return w, b
+
+
 class TestCertifiedLowerBounds:
     @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("rows", [awkward_layer, near_twin_rows], ids=["awkward", "near-twin"])
@@ -447,6 +456,19 @@ class TestCertifiedLowerBounds:
     def test_blocked_build_still_bounds(self, cfg, monkeypatch):
         monkeypatch.setattr(saliency, "_BLOCK_BYTES", 3 * 8 * 9)
         checked_lower_bounds(*awkward_layer(27, 9, 5, 0.0), cfg)
+
+    @pytest.mark.parametrize("block_bytes", [saliency._BLOCK_BYTES, 8], ids=["default", "one-row"])
+    def test_raw_bias_square_by_multiply_still_bounds(self, block_bytes, monkeypatch):
+        # The bounds square each bias difference by a multiply, the scorer by
+        # pow; the two differ in the last bit on some of these differences.
+        monkeypatch.setattr(saliency, "_BLOCK_BYTES", block_bytes)
+        differ = 0
+        for seed in range(20):
+            w, b = bias_dominated_rows(seed, 60, 8)
+            checked_lower_bounds(w, b, RAW)
+            db = np.subtract.outer(b, b)
+            differ += np.count_nonzero(db * db != np.float_power(db, 2.0))
+        assert differ > 0
 
     def test_prune_loop_peak_holds_one_matrix_and_a_mask(self, monkeypatch):
         n = 512
@@ -509,43 +531,41 @@ class TestOnePairScorer:
                     assert one.shape == (1,) and one.tobytes() == batch[r : r + 1].tobytes()
 
 
-class TestCertifiedColumnMinima:
-    """Hand-set lower bounds, still below the exact entries, steer one column's scan.
+class HandSetBounds:
+    """Hand-set lower bounds, still below the exact entries, steer the scans.
 
     Column 0's exact squared similarities to rows 1, 2, 3 are 9, 4 and 41.
     """
+
+    @pytest.fixture(autouse=True)
+    def patch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
 
     def costs_with_bounds(self, bounds):
         w = np.array([[1.0, 0.0], [1.0, 3.0], [1.0, 2.0], [5.0, 5.0]])
         layer = FcLayer(w, np.zeros(4), Activation.RELU)
         nxt = FcLayer(np.ones((1, 4)), np.zeros(1), Activation.IDENTITY)
         exact = build_saliency_matrix(layer, nxt, RAW).sim_sq
+        self.scored = record_scored_pairs(self.monkeypatch)
         costs = saliency._CertifiedCosts(layer, RAW)
         for (i, j), value in bounds.items():
             assert value <= exact[i, j]
             costs.sim_sq[i, j] = costs.sim_sq[j, i] = value
         return costs, exact
 
-    @staticmethod
-    def minima(costs, msq, live, cols):
-        return costs.column_minima(msq, live, cols)
+
+class TestCertifiedColumnMinimum(HandSetBounds):
+    """Each column settled on its own, as the prune loop rescans it."""
 
     def scan(self, costs, exact, live=(True, True, True, True), factor=0.75, cols=(0,)):
         live, msq, cols = np.array(live), np.full(4, factor), np.array(cols)
-        scored, score = [], costs.score
-
-        def recording(a, b):
-            a, b = np.broadcast_arrays(a, b)
-            scored.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-            return score(a, b)
-
-        costs.score = recording
-        got = self.minima(costs, msq, live, cols)
+        found = [costs.column_minimum(msq, live, int(c)) for c in cols]
+        got = np.array([row for row, _ in found]), np.array([cost for _, cost in found])
         want = saliency._column_minima(exact, msq, live, cols)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
         # Dead rows and the diagonal are never scored, and no pair is scored twice.
-        assert all(a != b and live[a] and live[b] for a, b in scored)
-        assert len(set(scored)) == len(scored)
+        assert all(a != b and live[a] and live[b] for a, b in self.scored)
+        assert len(set(self.scored)) == len(self.scored)
         return got[0].tolist()
 
     def test_a_loose_bound_does_not_hide_the_minimum(self):
@@ -559,9 +579,9 @@ class TestCertifiedColumnMinima:
         assert costs.exact[0, 1]
 
     def test_a_pair_scored_for_another_column_is_refreshed(self):
-        # Column 2 scores (0, 2) first; column 0 then finds its bound stale.
+        # Column 2 scores (0, 2) first; column 0 then reads its exact value.
         costs, exact = self.costs_with_bounds({(0, 3): 0.0, (0, 2): 0.5})
-        assert self.scan(costs, exact, cols=(0, 2)) == [2, 1]
+        assert self.scan(costs, exact, cols=(2, 0)) == [1, 2]
 
     def test_an_exact_entry_below_a_newly_scored_one_wins(self):
         # An earlier scan scored (0, 2); row 1's loose bound is picked and scored first.
@@ -597,13 +617,67 @@ class TestCertifiedColumnMinima:
         assert not costs.exact[0, 1:].any()
 
 
-class TestCertifiedColumnMinimum(TestCertifiedColumnMinima):
-    """The same cases, each column rescanned on its own."""
+class TestCertifiedColumnMinima(HandSetBounds):
+    """The first scan of a layer, over all four columns with every row live."""
 
-    @staticmethod
-    def minima(costs, msq, live, cols):
-        found = [costs.column_minimum(msq, live, int(c)) for c in cols]
-        return np.array([row for row, _ in found]), np.array([cost for _, cost in found])
+    def first_scan(self, costs, exact):
+        """``column_minima`` against the exact matrix; returns the columns it rescanned."""
+        live, msq = np.ones(4, dtype=bool), np.full(4, 0.75)
+        rescanned, rescan = [], costs.column_minimum
+
+        def recording(msq, live, column):
+            rescanned.append(column)
+            return rescan(msq, live, column)
+
+        self.monkeypatch.setattr(costs, "column_minimum", recording)
+        got = costs.column_minima(msq, live)
+        want = saliency._column_minima(exact, msq, live, np.arange(4))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        # The diagonal is never scored, and no pair is scored twice.
+        assert all(a != b for a, b in self.scored)
+        assert len(set(self.scored)) == len(self.scored)
+        self.rows = got[0].tolist()
+        return rescanned
+
+    def scan(self, costs, exact, cols=(0,)):
+        """The first scan's rows for ``cols``."""
+        self.first_scan(costs, exact)
+        return [self.rows[c] for c in cols]
+
+    def test_first_scan_scores_a_mutually_nearest_pair_once(self):
+        # Nearest rows: 0 -> 2, 1 -> 2, 2 -> 1, 3 -> 1; the bounds agree.
+        costs, exact = self.costs_with_bounds({})
+        assert self.first_scan(costs, exact) == []
+        assert sorted(self.scored) == [(0, 2), (1, 2), (1, 3)]
+
+    def test_first_scan_rescans_only_columns_left_on_a_bound(self):
+        # Columns 0 and 3 both pick the loose (0, 3) bound; once it is scored,
+        # their cheapest entries are bounds again. Columns 1 and 2 are settled.
+        costs, exact = self.costs_with_bounds({(0, 3): 0.0})
+        assert self.first_scan(costs, exact) == [0, 3]
+
+    def test_a_loose_bound_does_not_hide_the_minimum(self):
+        costs, exact = self.costs_with_bounds({(0, 3): 0.0})
+        assert self.scan(costs, exact) == [2]
+
+    def test_an_equal_bound_at_a_smaller_index_is_scored(self):
+        # Row 2's exact cost, 4 * 0.75, equals row 1's bounded cost.
+        costs, exact = self.costs_with_bounds({(0, 1): 4.0, (0, 2): 0.0})
+        assert self.scan(costs, exact) == [2]
+        assert costs.exact[0, 1]
+
+    def test_a_pair_scored_for_another_column_is_refreshed(self):
+        # Column 2's batch scores (0, 2); column 0's second pass reads it exact.
+        costs, exact = self.costs_with_bounds({(0, 3): 0.0, (0, 2): 0.5})
+        assert self.scan(costs, exact, cols=(2, 0)) == [1, 2]
+
+    def test_an_exact_entry_below_a_newly_scored_one_wins(self):
+        # An earlier scan scored (0, 2); row 1's loose bound is picked and scored first.
+        costs, exact = self.costs_with_bounds({(0, 1): 0.0})
+        costs.sim_sq[0, 2] = costs.sim_sq[2, 0] = exact[0, 2]
+        costs.exact[0, 2] = costs.exact[2, 0] = True
+        assert self.scan(costs, exact) == [2]
+        assert not costs.exact[0, 3]
 
 
 class TestStorage:
