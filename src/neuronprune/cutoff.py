@@ -155,23 +155,19 @@ def data_free_cutoff(
     hist = histogram(trace, n_bins)
     cutoff = hist.mode_value
     if hist.degenerate:
+        predicted = 0
         warning = "saliency histogram is degenerate (all values identical); predicting 0"
         warnings.warn(warning, RuntimeWarning, stacklevel=2)
-        return CutoffReport(
-            predicted_count=0,
-            cutoff_saliency=cutoff,
-            method=CutoffMethod.DATA_FREE,
-            evidence=hist,
-            fraction=fraction,
-            warning=warning,
-        )
-    below = int(np.count_nonzero(trace.saliencies() <= cutoff))
+    else:
+        predicted = int(np.floor(fraction * np.count_nonzero(trace.saliencies() <= cutoff)))
+        warning = None
     return CutoffReport(
-        predicted_count=int(np.floor(fraction * below)),
+        predicted_count=predicted,
         cutoff_saliency=cutoff,
         method=CutoffMethod.DATA_FREE,
         evidence=hist,
         fraction=fraction,
+        warning=warning,
     )
 
 

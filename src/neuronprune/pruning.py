@@ -33,8 +33,15 @@ Baseline policies for comparison runs:
   and replays it on the input network as plain deletions, so any error
   gap between the two is attributable to the coefficient fold alone.
 * ``NAIVE_MAGNITUDE`` removes the neuron with the smallest product of
-  incoming-weight norm and outgoing-column norm, no surgery.
-* ``RANDOM`` removes uniformly at random under an explicit seed.
+  incoming-weight norm and outgoing-column norm, no surgery. A deletion
+  changes no other neuron's weights, so no score ever changes: one
+  stable sort of the first scores gives the whole removal order, ties
+  going to the smaller index.
+* ``RANDOM`` removes uniformly at random under an explicit seed, one
+  draw from the live neurons per step.
+
+Each deletion-only policy yields a trace of plain deletions, and its
+pruned network is built from that trace by :func:`replay_trace`.
 
 All traces record neuron indices in the layer's original numbering, so a
 trace stays meaningful after the layer has physically shrunk.
@@ -289,38 +296,30 @@ def _run_saliency(
     return state.network(), steps
 
 
-def _run_magnitude(
-    net: Network, layer_index: int, count: int
-) -> tuple[Network, list[PruneStep]]:
-    state = _EditState(net, layer_index)
-    weights = net.layers[layer_index].weights
-    steps = []
-    for step_number in range(1, count + 1):
-        live = state.live
-        scores = np.linalg.norm(weights[live], axis=1) * np.linalg.norm(
-            state.next_weights.compress(live, axis=1), axis=0
-        )
-        k = int(np.argmin(scores))  # first minimum, so ties go to the smallest index
-        removed = int(np.flatnonzero(live)[k])
-        step = PruneStep(step_number=step_number, removed=removed, saliency=float(scores[k]))
-        steps.append(step)
-        state.apply(step)
-    return state.network(), steps
-
-
-def _run_random(
-    net: Network, layer_index: int, count: int, seed: int
-) -> tuple[Network, list[PruneStep]]:
-    rng = np.random.default_rng(seed)
-    state = _EditState(net, layer_index)
-    steps = []
-    for step_number in range(1, count + 1):
-        alive = np.flatnonzero(state.live)
-        removed = int(alive[rng.integers(alive.size)])
-        step = PruneStep(step_number=step_number, removed=removed, saliency=0.0)
-        steps.append(step)
-        state.apply(step)
-    return state.network(), steps
+def _deletion_steps(
+    net: Network, layer_index: int, count: int, policy: PrunePolicy
+) -> list[PruneStep]:
+    """The first ``count`` plain deletions of NAIVE_MAGNITUDE or RANDOM, in order."""
+    if policy.kind is PolicyKind.NAIVE_MAGNITUDE:
+        # A deletion changes no other neuron's weights, so every score stays as
+        # it starts. C order, as in a filtered copy: a row's or column's norm
+        # then sums in the same order whichever other neurons are live.
+        incoming = np.ascontiguousarray(net.layers[layer_index].weights)
+        outgoing = np.ascontiguousarray(net.layers[layer_index + 1].weights)
+        scores = np.linalg.norm(incoming, axis=1) * np.linalg.norm(outgoing, axis=0)
+        if np.isnan(scores).any():  # an inf incoming norm times a zero outgoing column
+            raise ValueError("a magnitude score is nan")
+        order = np.argsort(scores, kind="stable")[:count]  # ties go to the smallest index
+        return [
+            PruneStep(step_number=k + 1, removed=int(j), saliency=float(scores[j]))
+            for k, j in enumerate(order)
+        ]
+    rng = np.random.default_rng(policy.seed)
+    alive = list(range(net.layers[layer_index].n_out))
+    return [
+        PruneStep(step_number=k + 1, removed=alive.pop(rng.integers(len(alive))), saliency=0.0)
+        for k in range(count)
+    ]
 
 
 def prune_layer(
@@ -341,15 +340,14 @@ def prune_layer(
         )
     if policy.kind in (PolicyKind.SALIENCY_SURGERY, PolicyKind.SALIENCY_NO_SURGERY):
         pruned, steps = _run_saliency(net, layer_index, count, cfg)
-    elif policy.kind is PolicyKind.NAIVE_MAGNITUDE:
-        pruned, steps = _run_magnitude(net, layer_index, count)
     else:
-        pruned, steps = _run_random(net, layer_index, count, policy.seed)
+        steps = _deletion_steps(net, layer_index, count, policy)
     trace = PruneTrace(layer_index=layer_index, n_original=n_out, steps=tuple(steps))
+    if policy.kind is PolicyKind.SALIENCY_SURGERY:
+        return pruned, trace
     if policy.kind is PolicyKind.SALIENCY_NO_SURGERY:
         trace = trace.without_surgery()
-        pruned = replay_trace(net, trace)
-    return pruned, trace
+    return replay_trace(net, trace), trace
 
 
 def prune_network(

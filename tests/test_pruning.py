@@ -69,6 +69,36 @@ def duplicate_pair_net(a1=0.3, a2=0.7):
     )
 
 
+def tied_magnitude_net(seed, n, d, d_out, fortran):
+    """Rows with exact and negated copies, zero rows and zeroed outgoing columns.
+
+    Copies, with their outgoing columns copied alike, tie on the magnitude
+    score; so do all neurons with a zero row or a zero outgoing column.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, d))
+    a = rng.normal(size=(d_out, n))
+    for r in range(1, n):
+        source = int(rng.integers(r))
+        kind = rng.integers(5)
+        if kind == 0:
+            w[r], a[:, r] = w[source], a[:, source]
+        elif kind == 1:
+            w[r], a[:, r] = -w[source], -a[:, source]
+        elif kind == 2:
+            a[:, r] = 0.0
+        elif kind == 3:
+            w[r] = 0.0
+    order = "F" if fortran else "C"
+    return Network(
+        layers=(
+            FcLayer(np.asarray(w, order=order), rng.normal(size=n), Activation.RELU),
+            FcLayer(np.asarray(a, order=order), rng.normal(size=d_out), Activation.IDENTITY),
+        ),
+        input_dim=d,
+    )
+
+
 class TestStepAndTraceTypes:
     def test_step_rejects_kept_equal_removed(self):
         with pytest.raises(ValueError):
@@ -253,22 +283,71 @@ class TestPruneLayer:
             pruned.layers[0].weights, net.layers[0].weights[survivors]
         )
 
-    def test_magnitude_policy_matches_score_oracle(self):
-        net = seeded_net(9, hidden=7)
-        _, trace = prune_layer(net, 0, 4, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
-        sim = net
-        alive = list(range(7))
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        d=st.integers(1, 20),
+        d_out=st.integers(1, 12),
+        fortran=st.booleans(),
+        full=st.booleans(),
+    )
+    def test_magnitude_policy_matches_score_oracle(self, seed, n, d, d_out, fortran, full):
+        net = tied_magnitude_net(seed, n, d, d_out, fortran)
+        count = n - 1 if full else max(1, (n - 1) // 2)
+        pruned, trace = prune_layer(net, 0, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
+        # The first minimum of scores taken afresh on the shrunk network at every step.
+        alive = list(range(n))
         for step in trace.steps:
-            layer, nxt = sim.layers
-            scores = [
-                float(np.linalg.norm(layer.weights[k]) * np.linalg.norm(nxt.weights[:, k]))
-                for k in range(layer.n_out)
-            ]
+            layer, nxt = net.layers
+            # Norms of C-ordered copies, as of a filtered copy of the layer.
+            incoming = np.linalg.norm(np.ascontiguousarray(layer.weights), axis=1)
+            outgoing = np.linalg.norm(np.ascontiguousarray(nxt.weights), axis=0)
+            scores = incoming * outgoing
             k = int(np.argmin(scores))
-            assert alive[k] == step.removed
-            assert step.saliency == pytest.approx(scores[k], rel=1e-12)
-            sim = delete_neuron(sim, 0, k)
-            alive.pop(k)
+            assert step == PruneStep(step.step_number, alive.pop(k), float(scores[k]))
+            net = delete_neuron(net, 0, k)
+        assert len(trace) == count
+        for got, want in zip(pruned.layers, net.layers):  # delete_neuron keeps Fortran order
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_nan_magnitude_score_raises_before_any_step(self, count):
+        # Row 3's norm overflows to inf and its outgoing column is zero: inf * 0 is nan.
+        # A sort puts the nan last, so even a first step that never reaches it must raise.
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(6, 3))
+        w[3] = 1e200
+        a = rng.normal(size=(2, 6))
+        a[:, 3] = 0.0
+        net = Network(
+            layers=(
+                FcLayer(w, np.zeros(6), Activation.RELU),
+                FcLayer(a, np.zeros(2), Activation.IDENTITY),
+            ),
+            input_dim=3,
+        )
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            prune_layer(net, 0, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), full=st.booleans())
+    def test_random_policy_matches_draw_oracle(self, seed, n, full):
+        net = seeded_net(seed, hidden=n)
+        count = n - 1 if full else max(1, (n - 1) // 2)
+        pruned, trace = prune_layer(net, 0, count, PrunePolicy(PolicyKind.RANDOM, seed=seed))
+        # One draw per step over the live neurons in ascending order.
+        rng = np.random.default_rng(seed)
+        live = np.ones(n, dtype=bool)
+        for step_number, step in enumerate(trace.steps, start=1):
+            alive = np.flatnonzero(live)
+            removed = int(alive[rng.integers(alive.size)])
+            assert step == PruneStep(step_number, removed, 0.0)
+            live[removed] = False
+        assert len(trace) == count
+        assert same_network(pruned, reference_replay(net, trace))
 
     def test_random_same_seed_reproduces_trace(self):
         net = seeded_net(10, hidden=8)

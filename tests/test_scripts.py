@@ -9,14 +9,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(name, *args):
+    """Run one script under ``scripts/`` against the source tree; fail on a nonzero exit."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+
+
 def test_bench_prune_widths_counts_the_pairs_it_scores():
     # The script wraps private saliency names; if they move, its counts
     # must fail here rather than read 0.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_prune_widths.py"),
-         "--widths", "64", "--fan-ins", "16", "--timeout", "120"],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
+    done = run_script(
+        "bench_prune_widths.py", "--widths", "64", "--fan-ins", "16", "--timeout", "120"
     )
     lines = done.stdout.splitlines()
     assert len(lines) == 2  # one per similarity mode
@@ -29,11 +35,8 @@ def test_bench_prune_widths_counts_the_pairs_it_scores():
 
 
 def test_bench_model_io_round_trips_bit_exact(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_model_io.py"),
-         "--shapes", "64x16", "--timeout", "120", "--dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
+    done = run_script(
+        "bench_model_io.py", "--shapes", "64x16", "--timeout", "120", "--dir", tmp_path
     )
     (line,) = done.stdout.splitlines()
     record = json.loads(line)
@@ -47,3 +50,24 @@ def test_bench_model_io_round_trips_bit_exact(tmp_path):
     assert record["save_s"] > 0 and record["load_s"] > 0
     assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
     assert list(tmp_path.iterdir()) == []  # the model file is cleaned up
+
+
+def test_run_policy_comparison_writes_one_curve_per_policy(tmp_path):
+    run_script(
+        "run_policy_comparison.py", "--seeds", "0", "--hidden", "6", "--epochs", "5",
+        "--out-dir", tmp_path,
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mean_curve_naive-magnitude.csv",
+        "mean_curve_random.csv",
+        "mean_curve_saliency-no-surgery.csv",
+        "mean_curve_saliency-surgery.csv",
+    ]
+
+
+def test_run_cutoff_experiment_writes_trace_and_report(tmp_path):
+    run_script(
+        "run_cutoff_experiment.py", "--seeds", "0", "--hidden", "6", "--epochs", "5",
+        "--out-dir", tmp_path,
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data_free_seed0.txt", "trace_seed0.csv"]
