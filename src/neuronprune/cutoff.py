@@ -181,12 +181,10 @@ def _slope_mass(saliencies: np.ndarray) -> np.ndarray:
     on perfectly flat stretches.
     """
     n = len(saliencies)
-    slopes = np.empty(n)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for t in range(n):
-            lo = max(t - 2, 0)
-            hi = min(t + 2, n - 1)
-            slopes[t] = (saliencies[hi] - saliencies[lo]) / (hi - lo) if hi > lo else 0.0
+    t = np.arange(n)
+    lo, hi = np.maximum(t - 2, 0), np.minimum(t + 2, n - 1)
+    with np.errstate(invalid="ignore"):  # inf - inf, and 0 / 0 on a one-step trace
+        slopes = np.where(hi > lo, (saliencies[hi] - saliencies[lo]) / (hi - lo), 0.0)
     weights = np.abs(slopes)
     steep = ~np.isfinite(weights)
     if steep.any():

@@ -102,8 +102,10 @@ def record_scored_pairs(monkeypatch):
         score = real(layer, cfg)
 
         def counted(a, b):
-            a, b = np.broadcast_arrays(a, b)
-            scored.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            # Record from broadcast copies, but score the arguments as given,
+            # so a one-pair call still takes the scorer's scalar path.
+            low, high = np.broadcast_arrays(a, b)
+            scored.extend(zip(np.minimum(low, high).tolist(), np.maximum(low, high).tolist()))
             return score(a, b)
 
         return counted

@@ -254,14 +254,19 @@ def overflowing_trace():
 
 
 def reference_slope_mass(saliencies):
-    """``_slope_mass`` before inf saliencies were handled; all-finite traces must match it."""
+    """``_slope_mass`` as a per-step loop; every trace, inf tails too, must match it."""
     n = len(saliencies)
     slopes = np.empty(n)
-    for t in range(n):
-        lo = max(t - 2, 0)
-        hi = min(t + 2, n - 1)
-        slopes[t] = (saliencies[hi] - saliencies[lo]) / (hi - lo) if hi > lo else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for t in range(n):
+            lo = max(t - 2, 0)
+            hi = min(t + 2, n - 1)
+            slopes[t] = (saliencies[hi] - saliencies[lo]) / (hi - lo) if hi > lo else 0.0
     weights = np.abs(slopes)
+    steep = ~np.isfinite(weights)
+    if steep.any():
+        finite_max = weights[~steep].max(initial=0.0)
+        weights[steep] = finite_max if finite_max > 0 else 1.0
     floor = weights.max() * 1e-6 if weights.max() > 0 else 1.0
     weights = weights + floor
     mass = np.cumsum(weights)
@@ -308,6 +313,12 @@ class TestInfSaliencies:
     @settings(max_examples=60)
     def test_slope_mass_unchanged_on_finite_traces(self, saliencies):
         values = np.asarray(saliencies, dtype=np.float64)
+        assert _slope_mass(values).tobytes() == reference_slope_mass(values).tobytes()
+
+    @given(st.lists(st.floats(0.0, 1e300), max_size=40), st.integers(1, 5))
+    @settings(max_examples=60)
+    def test_slope_mass_unchanged_on_inf_tails(self, saliencies, n_inf):
+        values = np.asarray(saliencies + [np.inf] * n_inf, dtype=np.float64)
         assert _slope_mass(values).tobytes() == reference_slope_mass(values).tobytes()
 
     def test_data_driven_sweeps_an_inf_trace(self):

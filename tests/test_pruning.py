@@ -851,6 +851,20 @@ class TestExactScoring:
         prune_layer(net, 0, 255, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
         assert len(set(scored)) == len(scored) < 4 * 256
 
+    def test_recorded_rescans_take_the_one_pair_path(self, monkeypatch):
+        # The recorder must not hide the scorer's scalar path from the tests.
+        one_pair, took = saliency._one_pair, []
+
+        def watched(a, rows):
+            took.append(one_pair(a, rows))
+            return took[-1]
+
+        monkeypatch.setattr(saliency, "_one_pair", watched)
+        scored = record_scored_pairs(monkeypatch)
+        prune_layer(near_twin_net(3, n_in=32, width=128), 0, 127,
+                    PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        assert scored and sum(took) > len(took) // 2
+
     def test_the_full_matrix_is_never_built(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("prune_layer built the full matrix")

@@ -1,7 +1,8 @@
-"""Smoke tests for the benchmark scripts, run as a user runs them."""
+"""Smoke tests for the bench and experiment drivers, one per subcommand, run as a user would."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +19,10 @@ def run_script(name, *args):
     )
 
 
-def test_bench_prune_widths_counts_the_pairs_it_scores():
+def test_bench_prune_counts_the_pairs_it_scores():
     # The script wraps private saliency names; if they move, its counts
     # must fail here rather than read 0.
-    done = run_script(
-        "bench_prune_widths.py", "--widths", "64", "--fan-ins", "16", "--timeout", "120"
-    )
+    done = run_script("bench.py", "prune", "--shapes", "64x16", "--timeout", "120")
     lines = done.stdout.splitlines()
     assert len(lines) == 2  # one per similarity mode
     for line in lines:
@@ -32,11 +31,13 @@ def test_bench_prune_widths_counts_the_pairs_it_scores():
         assert "error" not in record
         assert record["width"] == 64 and record["fan_in"] == 16
         assert 0 < record["pairs_scored"] <= record["all_pairs"] == 64 * 63 // 2
+        assert record["seed"] == 0
+        assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
 
 
 def test_bench_model_io_round_trips_bit_exact(tmp_path):
     done = run_script(
-        "bench_model_io.py", "--shapes", "64x16", "--timeout", "120", "--dir", tmp_path
+        "bench.py", "model-io", "--shapes", "64x16", "--timeout", "120", "--dir", tmp_path
     )
     (line,) = done.stdout.splitlines()
     record = json.loads(line)
@@ -52,9 +53,25 @@ def test_bench_model_io_round_trips_bit_exact(tmp_path):
     assert list(tmp_path.iterdir()) == []  # the model file is cleaned up
 
 
-def test_run_policy_comparison_writes_one_curve_per_policy(tmp_path):
+def test_bench_train_reports_one_digest_per_case():
+    done = run_script("bench.py", "train", "--widths", "8", "--epochs", "1", "--repeats", "2")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2  # one per activation
+    for line, activation in zip(lines, ["sigmoid", "relu"]):
+        record = json.loads(line)
+        assert record["timed_out"] is False
+        assert "error" not in record
+        assert record["activation"] == activation and record["width"] == 8
+        assert record["seed"] == 0 and record["epochs"] == 1
+        assert record["minibatches"] == 2580 // 32 + 1
+        assert record["train_s"] > 0 and record["us_per_minibatch"] > 0
+        assert re.fullmatch("[0-9a-f]{64}", record["sha256"])
+        assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
+
+
+def test_experiment_compare_writes_one_curve_per_policy(tmp_path):
     run_script(
-        "run_policy_comparison.py", "--seeds", "0", "--hidden", "6", "--epochs", "5",
+        "experiment.py", "compare", "--seeds", "0", "--hidden", "6", "--epochs", "5",
         "--out-dir", tmp_path,
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -65,9 +82,9 @@ def test_run_policy_comparison_writes_one_curve_per_policy(tmp_path):
     ]
 
 
-def test_run_cutoff_experiment_writes_trace_and_report(tmp_path):
+def test_experiment_cutoff_writes_trace_and_report(tmp_path):
     run_script(
-        "run_cutoff_experiment.py", "--seeds", "0", "--hidden", "6", "--epochs", "5",
+        "experiment.py", "cutoff", "--seeds", "0", "--hidden", "6", "--epochs", "5",
         "--out-dir", tmp_path,
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data_free_seed0.txt", "trace_seed0.csv"]
