@@ -3,12 +3,13 @@
 
 Every case runs in its own process with one BLAS thread, so its timings
 do not depend on the host's core count and its resident high-water mark
-is its own. A case that overruns ``--timeout`` is reported with
-``timed_out`` true, never skipped; a case that crashes carries ``error``,
-the last line of its stderr. Each case prints one JSON line holding its
-case keys, ``seed``, ``timed_out``, ``setup_maxrss_mb`` (the process's
-peak resident memory once its inputs are built), ``ru_maxrss_mb`` (the
-same at the end), and the fields of its subcommand:
+is its own. A case that overruns ``--timeout`` is killed and reported
+with ``timed_out`` true and the ``ru_maxrss_mb`` it had reached, never
+skipped; a case that crashes carries ``error``, the last line of its
+stderr. Each case prints one JSON line holding its case keys, ``seed``,
+``timed_out``, ``setup_maxrss_mb`` (the process's peak resident memory
+once its inputs are built), ``ru_maxrss_mb`` (the same at the end), and
+the fields of its subcommand:
 
 * ``prune`` builds, per ``--shapes`` entry and mode, a near-twin ReLU
   layer (see :func:`near_twin_net`) and prunes it to one neuron with the
@@ -181,9 +182,11 @@ def model_io_case(args, width, fan_in):
         start = time.perf_counter()
         loaded = npr.load_model(path)
         load_s = time.perf_counter() - start
+    # compared as bit patterns, without a bytes copy that would set the peak
     bit_exact = all(
-        a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+        np.array_equal(x.view(np.uint64), y.view(np.uint64))
         for a, b in zip(net.layers, loaded.layers)
+        for x, y in ((a.weights, b.weights), (a.bias, b.bias))
     )
     return {
         "save_s": round(save_s, 4),
@@ -252,14 +255,20 @@ def main(argv=None):
     for case in cases(args):
         record = {**case, "seed": args.seed}
         command = [sys.executable, __file__, *argv, "--case", json.dumps(case)]
-        try:
-            done = subprocess.run(command, capture_output=True, text=True,
-                                  timeout=args.timeout, check=True)
-            record.update(json.loads(done.stdout.splitlines()[-1]), timed_out=False)
-        except subprocess.TimeoutExpired:
-            record.update(timed_out=True)
-        except subprocess.CalledProcessError as exc:
-            record.update(timed_out=False, error=exc.stderr.strip().splitlines()[-1:])
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as child:
+            try:
+                stdout, stderr = child.communicate(timeout=args.timeout)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                # reaped here rather than by Popen, which would discard the child's usage
+                usage = os.wait4(child.pid, 0)[2]
+                record.update(timed_out=True, ru_maxrss_mb=round(usage.ru_maxrss / 1024, 1))
+            else:
+                if child.returncode == 0:
+                    record.update(json.loads(stdout.splitlines()[-1]), timed_out=False)
+                else:
+                    record.update(timed_out=False, error=stderr.strip().splitlines()[-1:])
         print(json.dumps(record), flush=True)
 
 

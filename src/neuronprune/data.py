@@ -9,7 +9,6 @@ two classes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,22 +136,30 @@ def make_blobs(
     )
 
 
-def _read_text(path, encoding: str = "ascii", error=ValueError) -> str:
-    """The text of ``path``; a byte ``encoding`` cannot decode raises ``error`` at ``path:line``."""
-    try:
-        with open(path, encoding=encoding) as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        pass
-    # Undecodable bytes come back as lone surrogates U+DC80..U+DCFF.
-    with open(path, encoding=encoding, errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
-    for line_number, line in enumerate(lines, start=1):
-        found = re.search("[\udc80-\udcff]", line)
-        if found:
-            byte = ord(found.group()) - 0xDC00
-            raise error(f"{path}:{line_number}: byte 0x{byte:02x} is not {encoding} text")
-    raise error(f"{path}: not {encoding} text")
+def _numbered_lines(path, encoding: str = "ascii", error=ValueError):
+    """``(line_number, line)`` for each line of ``path``, read one line at a time.
+
+    Lines are split and numbered from 1 as ``str.splitlines`` does on the
+    whole text: each chunk read ends at a ``\\n`` byte, which no other
+    ASCII or UTF-8 character contains and which ends any ``\\r\\n``, so no
+    character or separator spans two chunks. A byte ``encoding`` cannot
+    decode raises ``error`` at ``path:line``.
+    """
+    line_number = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            try:
+                lines = chunk.decode(encoding).splitlines()
+            except UnicodeDecodeError as exc:
+                # the bad byte's line is the last one of the text before it plus one character
+                before = chunk[: exc.start].decode(encoding)
+                line_number += len((before + "?").splitlines())
+                raise error(
+                    f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
+                ) from None
+            for line in lines:
+                line_number += 1
+                yield line_number, line
 
 
 def _data_rows(path, has_header: bool):
@@ -211,7 +218,8 @@ def load_csv(
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
     except UnicodeDecodeError as exc:
-        _read_text(path, exc.encoding)
+        for _ in _numbered_lines(path, exc.encoding):
+            pass  # raises at the first undecodable byte's line
         raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(_first_bad_line(path, has_header) or f"{path}: {exc}") from None

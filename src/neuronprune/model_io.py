@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 
 import numpy as np
 
 from .cutoff import CutoffMethod, CutoffReport, SaliencyHistogram
-from .data import _read_text
+from .data import _numbered_lines
 from .network import Activation, FcLayer, Network
 from .pruning import PruneStep, PruneTrace
 
@@ -88,15 +89,16 @@ def save_model(net: Network, path) -> None:
 
 
 class _LineReader:
+    """Stripped non-blank lines of ``(number, line)`` pairs; ``pos`` numbers the last one read."""
+
     def __init__(self, path, lines):
         self.path = path
         self.lines = lines
         self.pos = 0
 
     def next_line(self, expect: str) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
+        for self.pos, line in self.lines:
+            line = line.strip()
             if line:
                 return line
         raise ModelFormatError(f"{self.path}:{self.pos}: file ended while reading {expect}")
@@ -141,7 +143,16 @@ def _parse_int(reader: _LineReader, token: str, what: str) -> int:
 
 def load_model(path) -> Network:
     """Parse a model file, validating structure before building anything."""
-    reader = _LineReader(path, _read_text(path, "ascii", ModelFormatError).splitlines())
+    with closing(_numbered_lines(path, "ascii", ModelFormatError)) as lines:
+        layers = _read_layers(_LineReader(path, lines))
+    try:
+        return Network(layers=tuple(layers), input_dim=layers[0].n_in)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: inconsistent layers: {exc}") from exc
+
+
+def _read_layers(reader: _LineReader) -> list[FcLayer]:
+    """The layers of a model file, each checked on its own, up to the end of the file."""
     magic = reader.next_line("file magic").split()
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         reader.fail(f"not a {MODEL_MAGIC} file")
@@ -150,7 +161,7 @@ def load_model(path) -> Network:
     if parse_row is None:
         readable = " and ".join(str(v) for v in _ROW_PARSERS)
         raise ModelVersionError(
-            f"{path}:{reader.pos}: format version {version} unsupported"
+            f"{reader.path}:{reader.pos}: format version {version} unsupported"
             f" (this reader handles {readable})"
         )
     header = reader.next_line("layer count").split()
@@ -187,12 +198,9 @@ def load_model(path) -> Network:
             layers.append(FcLayer(weights=rows, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:
             reader.fail(str(exc))
-    if reader.pos < len(reader.lines) and any(l.strip() for l in reader.lines[reader.pos :]):
+    if any(line.strip() for _, line in reader.lines):
         reader.fail("unexpected content after the last layer")
-    try:
-        return Network(layers=tuple(layers), input_dim=layers[0].n_in)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: inconsistent layers: {exc}") from exc
+    return layers
 
 
 def export_trace(trace: PruneTrace, path) -> None:
@@ -214,7 +222,7 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
     more than the largest neuron index mentioned, whichever is larger.
     For full prune-to-one traces that default is the true width.
     """
-    lines = [(n, l) for n, l in enumerate(_read_text(path).splitlines(), start=1) if l.strip()]
+    lines = [(n, l) for n, l in _numbered_lines(path) if l.strip()]
     if not lines or lines[0][1] != TRACE_HEADER:
         raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected header {TRACE_HEADER!r}")
     steps = []

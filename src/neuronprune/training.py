@@ -192,15 +192,17 @@ def evaluate(net: Network, ds: Dataset, split: str = "test") -> tuple[float, flo
 
 
 def _trace_logits(net: Network, trace: PruneTrace, x: np.ndarray, eval_every: int):
-    """Yield ``(step, logits)`` after each measured removal of ``trace``.
+    """Yield ``(step, logits)`` for step 0 and after each measured removal of ``trace``.
 
     A merge or a delete leaves the pruned layer's activations ``H``
     unchanged, so they and the next layer's pre-activations are computed
     once. With ``a`` the removed neuron's outgoing column, merging ``j``
     into ``i`` then adds ``outer(H[:, i] - H[:, j], a)`` to the
     pre-activations and deleting ``j`` subtracts ``outer(H[:, j], a)``.
-    Only measured steps (every ``eval_every``-th and the last) run the
-    layers downstream. ``x`` is taken as valid; no ``Network`` is built.
+    Only measured steps (0, every ``eval_every``-th and the last) run the
+    layers downstream; step 0 runs the same operations as
+    :func:`forward_batch`, so its logits equal that pass bit for bit.
+    ``x`` is taken as valid; no ``Network`` is built.
     A yielded array can be the kernel's own buffer, which the next step
     updates in place.
     """
@@ -209,6 +211,7 @@ def _trace_logits(net: Network, trace: PruneTrace, x: np.ndarray, eval_every: in
     nxt = net.layers[k + 1]
     hidden = _run_layers(net.layers[: k + 1], x)
     pre = hidden @ nxt.weights.T + nxt.bias
+    yield 0, _run_layers(net.layers[k + 2 :], nxt.activation.apply(pre))
     total = len(trace.steps)
     for done, step in enumerate(trace.steps, start=1):
         state.apply(step)
@@ -231,18 +234,22 @@ def trace_error_curve(
     """Error after each recorded removal, from cached activations.
 
     Returns (step, error) pairs starting at step 0 (the unpruned
-    baseline, from :func:`evaluate`). With ``eval_every`` > 1, only every
-    k-th step is measured; the final step is always included. Later
+    baseline, equal to :func:`evaluate`). With ``eval_every`` > 1, only
+    every k-th step is measured; the final step is always included. Later
     steps update the next layer's pre-activations by one rank-one term
     per removal (see ``_trace_logits``) instead of building a network.
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    curve = [(0, evaluate(net, ds, split)[1])]
     x, y = ds.split(split)
-    for done, logits in _trace_logits(net, trace, x, eval_every):
-        curve.append((done, _accuracy_and_error(logits, y)[1]))
-    return curve
+    if len(y) == 0:
+        raise ValueError(f"{split} split is empty")
+    if x.shape[1] != net.input_dim:
+        raise ValueError(f"batch must have shape (n, {net.input_dim})")
+    return [
+        (done, _accuracy_and_error(logits, y)[1])
+        for done, logits in _trace_logits(net, trace, x, eval_every)
+    ]
 
 
 def replay_error_oracle(net: Network, trace: PruneTrace, ds: Dataset, split: str = "test"):

@@ -19,8 +19,8 @@ import pytest
 from neuronprune.cli import main
 from neuronprune.cutoff import data_free_cutoff
 from neuronprune.data import make_blobs
-from neuronprune.model_io import import_trace, load_model
-from neuronprune.network import Activation, layer_sizes, param_count
+from neuronprune.model_io import import_trace, load_model, save_model
+from neuronprune.network import Activation, FcLayer, Network, layer_sizes, param_count
 from neuronprune.pruning import PolicyKind, PrunePolicy, prune_layer
 from neuronprune.saliency import SimilarityConfig
 from neuronprune.training import TrainConfig, error_curve, evaluate, train
@@ -36,6 +36,8 @@ DATA_ARGS = (
     "--data-seed", "7",
 )
 TRAIN_ARGS = ("--hidden", "10", "--epochs", "40", "--seed", "1")
+# DATA_ARGS with 7 features, one fewer than a model trained on DATA_ARGS takes.
+NARROW_DATA_ARGS = tuple("7" if arg == "8" else arg for arg in DATA_ARGS)
 
 
 def run_cli(argv):
@@ -205,6 +207,28 @@ class TestPrune:
         assert err.startswith("error:")
         assert not out_path.exists()
 
+    def test_two_layer_plan_writes_one_trace_per_layer(self, tmp_path):
+        rng = np.random.default_rng(2)
+        sizes = (8, 6, 5, 2)
+        acts = (Activation.RELU, Activation.SIGMOID, Activation.IDENTITY)
+        net = Network(
+            layers=tuple(
+                FcLayer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out), act)
+                for n_in, n_out, act in zip(sizes, sizes[1:], acts)
+            ),
+            input_dim=8,
+        )
+        model_path = tmp_path / "deep.txt"
+        save_model(net, model_path)
+        code, _, err = run_cli(
+            ["prune", "--model", str(model_path), "--out", str(tmp_path / "p.txt"),
+             "--layer", "0:2", "--layer", "1:3", "--trace", str(tmp_path / "t.csv")]
+        )
+        assert code == 0, err
+        assert sorted(p.name for p in tmp_path.glob("t*.csv")) == ["t.layer0.csv", "t.layer1.csv"]
+        assert len(import_trace(tmp_path / "t.layer0.csv").steps) == 2
+        assert len(import_trace(tmp_path / "t.layer1.csv", layer_index=1).steps) == 3
+
     def test_input_model_is_never_modified(self, model_file, tmp_path):
         original = model_file.read_bytes()
         run_cli(
@@ -251,6 +275,23 @@ class TestCutoff:
         assert payload["fraction"] == 0.5
         assert payload["cutoff_saliency"] == report.cutoff_saliency
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_text_report_carries_the_degenerate_warning(self, tmp_path):
+        trace_path = tmp_path / "flat.csv"
+        trace_path.write_text("step,kept,removed,saliency,test_error\n1,1,0,0.5,\n2,1,2,0.5,\n")
+        report_path = tmp_path / "report.txt"
+        code, out, _ = run_cli(
+            ["cutoff", "--trace", str(trace_path), "--report", str(report_path)]
+        )
+        assert code == 0
+        warning = "saliency histogram is degenerate (all values identical); predicting 0"
+        assert stdout_value(out, "warning") == warning
+        assert stdout_value(out, "wrote report") == str(report_path)
+        report = report_path.read_text().splitlines()
+        assert report[:2] == ["method: data-free", "predicted_count: 0"]
+        assert f"warning: {warning}" in report
+        assert "degenerate: true" in report
+
     def test_data_driven_requires_a_model(self, full_trace_file):
         assert usage_error(
             ["cutoff", "--trace", str(full_trace_file), "--method", "data-driven",
@@ -287,6 +328,16 @@ class TestCutoff:
         assert stdout_value(out, "method") == "data-driven"
         predicted = int(stdout_value(out, "predicted_count"))
         assert 0 <= predicted <= 9
+
+    def test_data_driven_rejects_a_dataset_of_another_width(
+        self, full_trace_file, model_file
+    ):
+        code, _, err = run_cli(
+            ["cutoff", "--trace", str(full_trace_file), "--method", "data-driven",
+             "--model", str(model_file), *NARROW_DATA_ARGS]
+        )
+        assert code == 1
+        assert err.strip() == "error: batch must have shape (n, 8)"
 
     def test_unparsable_test_error_names_the_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -416,6 +467,16 @@ class TestCompare:
         rows = [line.split(",") for line in lines[1:]]
         got = [(int(r[0]), float(r[1])) for r in rows]
         assert got == [(step, err) for step, err in expected]
+
+    def test_a_dataset_of_another_width_is_a_runtime_failure(self, model_file, tmp_path):
+        out_dir = tmp_path / "curves"
+        code, _, err = run_cli(
+            ["compare", "--model", str(model_file), *NARROW_DATA_ARGS,
+             "--seeds", "0", "--out-dir", str(out_dir)]
+        )
+        assert code == 1
+        assert err.strip() == "error: batch must have shape (n, 8)"
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("layer_index", ["5", "1", "-1"])
     def test_a_layer_that_cannot_be_pruned_is_a_runtime_failure(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuronprune import Dataset, load_csv, make_blobs
+from neuronprune.data import _numbered_lines
 
 from conftest import mutate
 
@@ -198,3 +199,63 @@ class TestLoadCsv:
         c = load_csv(p, seed=2)
         np.testing.assert_array_equal(a.train_idx, b.train_idx)
         assert not np.array_equal(a.train_idx, c.train_idx)
+
+
+def whole_text_lines(path, encoding):
+    """The whole-text reader ``_numbered_lines`` replaced, kept as its reference.
+
+    Returns ``(line_number, line)`` pairs from ``splitlines`` on the whole
+    decoded text or, when a byte does not decode, the message that names
+    it: the text is decoded again with undecodable bytes as lone
+    surrogates, and the first line holding one is the bad byte's line.
+    """
+    try:
+        with open(path, encoding=encoding) as fh:
+            return list(enumerate(fh.read().splitlines(), start=1))
+    except UnicodeDecodeError:
+        pass
+    with open(path, encoding=encoding, errors="surrogateescape") as fh:
+        lines = fh.read().splitlines()
+    for line_number, line in enumerate(lines, start=1):
+        found = re.search("[\udc80-\udcff]", line)
+        if found:
+            byte = ord(found.group()) - 0xDC00
+            return f"{path}:{line_number}: byte 0x{byte:02x} is not {encoding} text"
+    return f"{path}: not {encoding} text"
+
+
+# Every line separator str.splitlines knows, as ASCII bytes and as UTF-8
+# (NEL, U+2028, U+2029), plus text, a two-byte character, and bytes or
+# sequences that one or both encodings cannot decode: stray continuation
+# bytes, cut sequences and an encoded surrogate.
+PIECES = [
+    b"7", b"a b", b"\n", b"\r", b"\r\n", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e",
+    "\x85".encode(), "\u2028".encode(), "\u2029".encode(), "\xe9".encode(),
+    b"\x80", b"\x85", b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xb2\x80",
+]
+
+
+class TestNumberedLines:
+    @given(
+        st.lists(st.sampled_from(PIECES), max_size=24).map(b"".join),
+        st.sampled_from(["ascii", "utf-8"]),
+    )
+    @settings(max_examples=1000)
+    def test_matches_the_whole_text_reader(self, tmp_path_factory, blob, encoding):
+        path = tmp_path_factory.mktemp("lines") / "blob.txt"
+        path.write_bytes(blob)
+        try:
+            got = list(_numbered_lines(path, encoding))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == whole_text_lines(path, encoding)
+
+    def test_raises_the_given_error_type(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"ok\r\n\x0bstill ok\n\xc3\xa9\n")  # \v ends line 2
+
+        class Custom(ValueError):
+            pass
+
+        with pytest.raises(Custom, match=f"^{re.escape(str(path))}:4: byte 0xc3 is not ascii text$"):
+            list(_numbered_lines(path, "ascii", Custom))

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from neuronprune import (
     load_model,
     save_model,
 )
+import neuronprune.data
 
 from conftest import mutate
 
@@ -116,6 +118,40 @@ class TestModelRoundTrip:
         save_model(net, a)
         save_model(load_model(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStreamingLoad:
+    def test_peak_memory_stays_near_the_file_size(self, tmp_path):
+        # Lines are read one at a time; holding the decoded text or a list of
+        # all lines would take the peak to about twice the file size.
+        p = tmp_path / "wide.model"
+        save_model(random_net(6, (256, 2048, 3), Activation.RELU), p)
+        tracemalloc.start()
+        try:
+            load_model(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * p.stat().st_size
+
+    @pytest.mark.parametrize("damage", [None, "layer 1 identity 2 1"])
+    def test_file_is_closed_when_the_load_returns_or_raises(self, tmp_path, monkeypatch, damage):
+        p = tmp_path / "net.model"
+        text = GOLDEN_221_V2 + "\n\n"
+        p.write_text(text if damage is None else text.replace(damage, "bias"))
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(neuronprune.data, "open", recording_open, raising=False)
+        if damage is None:
+            assert load_model(p).input_dim == 2
+        else:
+            with pytest.raises(ModelFormatError):
+                load_model(p)
+        assert len(opened) == 1 and opened[0].closed
 
 
 def _reference_lines(net, version, fmt):

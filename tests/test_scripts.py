@@ -35,6 +35,17 @@ def test_bench_prune_counts_the_pairs_it_scores():
         assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
 
 
+def test_bench_case_stopped_at_the_timeout_keeps_its_memory_peak():
+    done = run_script(
+        "bench.py", "prune", "--shapes", "1024x256", "--modes", "raw", "--timeout", "0.3"
+    )
+    (line,) = done.stdout.splitlines()
+    record = json.loads(line)
+    assert record["timed_out"] is True
+    assert record["ru_maxrss_mb"] > 0
+    assert "prune_s" not in record and "error" not in record
+
+
 def test_bench_model_io_round_trips_bit_exact(tmp_path):
     done = run_script(
         "bench.py", "model-io", "--shapes", "64x16", "--timeout", "120", "--dir", tmp_path

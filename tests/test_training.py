@@ -357,6 +357,19 @@ class TestErrorCurves:
             (step, (a + b) / 2) for (step, a), (_, b) in zip(*draws)
         ]
 
+    def test_curve_makes_the_checks_of_evaluate(self):
+        ds = make_blobs(n_samples=300, n_features=6, seed=19)
+        net = train(ds, TrainConfig(hidden_units=5, epochs=2, seed=19))
+        _, trace = prune_layer(net, 0, 4, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        no_test = Dataset(
+            ds.features, ds.labels, ds.train_idx, np.concatenate([ds.val_idx, ds.test_idx]), []
+        )
+        with pytest.raises(ValueError, match=r"^test split is empty$"):
+            trace_error_curve(net, trace, no_test)
+        five_features = make_blobs(n_samples=300, n_features=5, seed=19)
+        with pytest.raises(ValueError, match=r"^batch must have shape \(n, 6\)$"):
+            trace_error_curve(net, trace, five_features)
+
     def test_trace_from_wider_layer_rejected(self):
         ds = make_blobs(n_samples=300, n_features=6, seed=18)
         wide = train(ds, TrainConfig(hidden_units=9, epochs=2, seed=18))
@@ -394,9 +407,12 @@ def assert_kernel_matches_replay(net, trace, ds, eval_every):
     for step, logits in _trace_logits(net, trace, x, eval_every):
         expected = forward_batch(replay_trace(net, trace, step), x)
         assert np.max(np.abs(logits - expected)) <= 1e-12 * np.max(np.abs(expected))
+        if step == 0:  # the unpruned baseline runs the forward pass's own operations
+            assert np.array_equal(logits, expected)
         measured.append(step)
+    assert measured[0] == 0
     curve = trace_error_curve(net, trace, ds, eval_every=eval_every)
-    assert [step for step, _ in curve] == [0, *measured]
+    assert [step for step, _ in curve] == measured
     for step, err in curve:
         assert err == evaluate(replay_trace(net, trace, step), ds)[1]
 
