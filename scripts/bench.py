@@ -134,8 +134,8 @@ def prune_case(args, width, fan_in, mode):
     counts = {"pairs": 0, "bound_s": 0.0}
     scorer, bounds = saliency._pair_scorer, saliency._sim_sq_lower_bounds
 
-    def counting_scorer(layer, cfg):
-        score = scorer(layer, cfg)
+    def counting_scorer(layer, mode):
+        score = scorer(layer, mode)
 
         def counted(a, b):
             s = score(a, b)
@@ -144,20 +144,18 @@ def prune_case(args, width, fan_in, mode):
 
         return counted
 
-    def timed_bounds(layer, cfg):
+    def timed_bounds(layer, mode):
         start = time.perf_counter()
-        out = bounds(layer, cfg)
+        out = bounds(layer, mode)
         counts["bound_s"] += time.perf_counter() - start
         return out
 
     saliency._pair_scorer = counting_scorer
     saliency._sim_sq_lower_bounds = timed_bounds
-    cfg = npr.SimilarityConfig(mode=npr.SimilarityMode(mode))
+    policy = npr.PrunePolicy(npr.PolicyKind.SALIENCY_SURGERY)
     setup_maxrss = maxrss_mb()
     start = time.perf_counter()
-    _, trace = npr.prune_layer(
-        net, 0, width - 1, npr.PrunePolicy(npr.PolicyKind.SALIENCY_SURGERY), cfg
-    )
+    _, trace = npr.prune_layer(net, 0, width - 1, policy, npr.SimilarityMode(mode))
     prune_s = time.perf_counter() - start
     assert trace.is_full
     return {

@@ -37,7 +37,7 @@ from .pruning import (
     compression_percent,
     prune_network,
 )
-from .saliency import SimilarityConfig, SimilarityMode
+from .saliency import SimilarityMode
 from .training import (
     TrainConfig,
     TrainingDiverged,
@@ -121,24 +121,12 @@ def _load_dataset(args):
     )
 
 
-def _similarity_config(args) -> SimilarityConfig:
-    mode = (
-        SimilarityMode.RAW_DIFFERENCE
-        if args.mode == "raw"
-        else SimilarityMode.NORMALIZED_HEURISTIC
-    )
-    return SimilarityConfig(mode=mode, denominator_guard=args.guard)
-
-
 def _add_similarity_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
         choices=["heuristic", "raw"],
         default="heuristic",
         help="weight-set similarity measure",
-    )
-    parser.add_argument(
-        "--guard", type=float, default=1e-12, help="denominator floor for the heuristic"
     )
 
 
@@ -185,7 +173,7 @@ def _cmd_prune(parser: argparse.ArgumentParser, args) -> int:
     plan = args.layer or []
     net = load_model(args.model)
     before = param_count(net)
-    pruned, traces = prune_network(net, plan, policy, _similarity_config(args))
+    pruned, traces = prune_network(net, plan, policy, SimilarityMode(args.mode))
     save_model(pruned, args.out)
     if args.trace is not None:
         base = Path(args.trace)
@@ -242,11 +230,11 @@ def _cmd_eval(args) -> int:
 def _cmd_compare(args) -> int:
     net = load_model(args.model)
     ds = _load_dataset(args)
-    cfg = _similarity_config(args)
+    mode = SimilarityMode(args.mode)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, curves = compare_policies(
-        net, args.layer_index, ds, args.seeds, cfg, args.split, args.eval_every
+        net, args.layer_index, ds, args.seeds, mode, args.split, args.eval_every
     )
     for kind, curve in curves.items():
         path = out_dir / f"curve_{kind.value}.csv"

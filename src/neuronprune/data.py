@@ -2,9 +2,9 @@
 
 The synthetic fixture draws Gaussian clusters around mutually orthogonal
 class centers, flips a small fraction of labels for realism, and splits
-into train/validation/test by a seeded permutation. Scale defaults mirror
-a small tabular benchmark: a few thousand samples, a few dozen features,
-two classes.
+60/20/20 into train/validation/test by a seeded permutation. Scale
+defaults mirror a small tabular benchmark: a few thousand samples, a few
+dozen features, two classes.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 __all__ = ["Dataset", "make_blobs", "load_csv"]
 
 _SPLITS = ("train", "val", "test")
+# Train and validation shares of every split; test takes the rest.
+_TRAIN_SHARE, _VAL_SHARE = 0.6, 0.2
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,10 @@ class Dataset:
         return self.features[idx], self.labels[idx]
 
 
-def _split_indices(n: int, fractions, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError("need three positive split fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+def _split_indices(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perm = rng.permutation(n)
-    n_train = int(fractions[0] * n)
-    n_val = int(fractions[1] * n)
+    n_train = int(_TRAIN_SHARE * n)
+    n_val = int(_VAL_SHARE * n)
     if n_train == 0 or n_val == 0 or n_train + n_val >= n:
         raise ValueError("dataset too small for the requested split")
     return (
@@ -101,7 +99,6 @@ def make_blobs(
     separation: float = 4.0,
     label_noise: float = 0.02,
     seed: int = 0,
-    fractions=(0.6, 0.2, 0.2),
 ) -> Dataset:
     """Gaussian clusters around orthogonal centers, with optional label flips.
 
@@ -126,7 +123,7 @@ def make_blobs(
     flip = rng.random(n_samples) < label_noise
     offsets = rng.integers(1, n_classes, n_samples)
     observed[flip] = (labels[flip] + offsets[flip]) % n_classes
-    train_idx, val_idx, test_idx = _split_indices(n_samples, fractions, rng)
+    train_idx, val_idx, test_idx = _split_indices(n_samples, rng)
     return Dataset(
         features=features,
         labels=observed,
@@ -205,7 +202,6 @@ def load_csv(
     path,
     has_header: bool = False,
     seed: int = 0,
-    fractions=(0.6, 0.2, 0.2),
     standardize: bool = True,
 ) -> Dataset:
     """Load a samples-by-rows CSV: feature columns first, integer label last.
@@ -237,7 +233,7 @@ def load_csv(
         )
     rng = np.random.default_rng(seed)
     try:
-        train_idx, val_idx, test_idx = _split_indices(len(labels), fractions, rng)
+        train_idx, val_idx, test_idx = _split_indices(len(labels), rng)
         if standardize:
             mean = features[train_idx].mean(axis=0)
             std = features[train_idx].std(axis=0)

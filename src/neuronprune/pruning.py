@@ -55,7 +55,7 @@ from enum import Enum
 import numpy as np
 
 from .network import FcLayer, Network, merge_neurons
-from .saliency import SaliencyMatrix, SimilarityConfig, mean_outgoing_square
+from .saliency import SaliencyMatrix, SimilarityMode, mean_outgoing_square
 from .saliency import _cheapest, _cost_columns, _CertifiedCosts, _mean_outgoing_squares
 
 __all__ = [
@@ -271,10 +271,10 @@ class _EditState:
 
 
 def _run_saliency(
-    net: Network, layer_index: int, count: int, cfg: SimilarityConfig
+    net: Network, layer_index: int, count: int, mode: SimilarityMode
 ) -> tuple[Network, list[PruneStep]]:
     """:func:`prune_one` ``count`` times over, with cached exact column minima."""
-    costs = _CertifiedCosts(net.layers[layer_index], cfg)
+    costs = _CertifiedCosts(net.layers[layer_index], mode)
     msq = _mean_outgoing_squares(net.layers[layer_index + 1])
     state = _EditState(net, layer_index)
     live, weights = state.live, state.next_weights
@@ -327,11 +327,9 @@ def prune_layer(
     layer_index: int,
     count: int,
     policy: PrunePolicy,
-    cfg: SimilarityConfig | None = None,
+    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
 ) -> tuple[Network, PruneTrace]:
     """Remove ``count`` neurons from one layer under the given policy."""
-    if cfg is None:
-        cfg = SimilarityConfig()
     _check_prunable(net, layer_index)
     n_out = net.layers[layer_index].n_out
     if not 1 <= count <= n_out - 1:
@@ -339,7 +337,7 @@ def prune_layer(
             f"count must be in [1, {n_out - 1}] for a {n_out}-neuron layer, got {count}"
         )
     if policy.kind in (PolicyKind.SALIENCY_SURGERY, PolicyKind.SALIENCY_NO_SURGERY):
-        pruned, steps = _run_saliency(net, layer_index, count, cfg)
+        pruned, steps = _run_saliency(net, layer_index, count, mode)
     else:
         steps = _deletion_steps(net, layer_index, count, policy)
     trace = PruneTrace(layer_index=layer_index, n_original=n_out, steps=tuple(steps))
@@ -354,7 +352,7 @@ def prune_network(
     net: Network,
     plan,
     policy: PrunePolicy,
-    cfg: SimilarityConfig | None = None,
+    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
 ) -> tuple[Network, tuple[PruneTrace, ...]]:
     """Prune several layers front to back.
 
@@ -369,7 +367,7 @@ def prune_network(
         raise ValueError("plan must list layer indices in strictly ascending order")
     traces = []
     for layer_index, count in plan:
-        net, trace = prune_layer(net, layer_index, count, policy, cfg)
+        net, trace = prune_layer(net, layer_index, count, policy, mode)
         traces.append(trace)
     return net, tuple(traces)
 

@@ -59,7 +59,6 @@ from .network import (
 
 __all__ = [
     "SimilarityMode",
-    "SimilarityConfig",
     "SaliencyMatrix",
     "ContractionReport",
     "BoundSample",
@@ -76,27 +75,14 @@ __all__ = [
 # Largest finite double, not +inf, so minimum scans stay total-order safe.
 DIAGONAL_SENTINEL = float(np.finfo(np.float64).max)
 
+# Floor of the heuristic's denominators, so opposite weight rows (or biases
+# summing to zero) yield a large finite value instead of a division error.
+_DENOMINATOR_FLOOR = 1e-12
+
 
 class SimilarityMode(Enum):
     RAW_DIFFERENCE = "raw"
     NORMALIZED_HEURISTIC = "heuristic"
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """How weight-set similarity is measured.
-
-    ``denominator_guard`` floors the heuristic's denominators so opposite
-    weight rows (or biases summing to zero) yield a large finite value
-    instead of a division error.
-    """
-
-    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC
-    denominator_guard: float = 1e-12
-
-    def __post_init__(self):
-        if not self.denominator_guard > 0:
-            raise ValueError("denominator_guard must be positive")
 
 
 def raw_difference(wi: WeightSet, wj: WeightSet) -> float:
@@ -107,7 +93,7 @@ def raw_difference(wi: WeightSet, wj: WeightSet) -> float:
     return float(np.sqrt(np.dot(d, d) + (wi.bias - wj.bias) ** 2))
 
 
-def heuristic_similarity(wi: WeightSet, wj: WeightSet, cfg: SimilarityConfig) -> float:
+def heuristic_similarity(wi: WeightSet, wj: WeightSet) -> float:
     """Scale-insensitive similarity with sensible-sized weight and bias terms.
 
     The non-bias weights are normalized to unit length before being
@@ -117,7 +103,7 @@ def heuristic_similarity(wi: WeightSet, wj: WeightSet, cfg: SimilarityConfig) ->
     """
     if len(wi) != len(wj):
         raise ValueError("weight-sets must have equal length")
-    guard = cfg.denominator_guard
+    guard = _DENOMINATOR_FLOOR
     ni = float(np.linalg.norm(wi.weights))
     nj = float(np.linalg.norm(wj.weights))
     if ni == 0.0 and nj == 0.0 and wi.bias == 0.0 and wj.bias == 0.0:
@@ -136,10 +122,12 @@ def heuristic_similarity(wi: WeightSet, wj: WeightSet, cfg: SimilarityConfig) ->
     return weight_term + bias_term
 
 
-def similarity(wi: WeightSet, wj: WeightSet, cfg: SimilarityConfig) -> float:
-    if cfg.mode is SimilarityMode.RAW_DIFFERENCE:
+def similarity(
+    wi: WeightSet, wj: WeightSet, mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC
+) -> float:
+    if mode is SimilarityMode.RAW_DIFFERENCE:
         return raw_difference(wi, wj)
-    return heuristic_similarity(wi, wj, cfg)
+    return heuristic_similarity(wi, wj)
 
 
 def mean_outgoing_square(next_layer: FcLayer, j: int) -> float:
@@ -230,7 +218,7 @@ class SaliencyMatrix:
 def build_saliency_matrix(
     layer: FcLayer,
     next_layer: FcLayer,
-    cfg: SimilarityConfig,
+    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
     layer_index: int = 0,
 ) -> SaliencyMatrix:
     """Compute removal costs for every ordered pair of neurons in ``layer``.
@@ -246,7 +234,7 @@ def build_saliency_matrix(
     if next_layer.n_in != layer.n_out:
         raise ValueError("next layer does not consume this layer's outputs")
     n = layer.n_out
-    score = _pair_scorer(layer, cfg)
+    score = _pair_scorer(layer, mode)
     block = max(1, _BLOCK_BYTES // (8 * max(1, layer.n_in)))
     sim_sq = np.zeros((n, n))
     for i in range(n - 1):
@@ -341,7 +329,7 @@ def _one_pair(a, rows) -> bool:
     return isinstance(rows, np.ndarray) and rows.shape == (1,) and np.ndim(a) == 0
 
 
-def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
+def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
     """``score(a, b)``: :func:`similarity` of rows ``a`` and ``b``, pair by pair.
 
     ``a`` and ``b`` are row indices, index arrays or slices that broadcast
@@ -352,7 +340,7 @@ def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
     dozen array calls.
     """
     w, b = layer.weights, layer.bias
-    if cfg.mode is SimilarityMode.RAW_DIFFERENCE:
+    if mode is SimilarityMode.RAW_DIFFERENCE:
 
         def raw(a, rows):
             if _one_pair(a, rows):
@@ -366,7 +354,7 @@ def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
             return np.sqrt(_squared_norms(w[a] - w[rows]) + bias_sq)
 
         return raw
-    guard = cfg.denominator_guard
+    guard = _DENOMINATOR_FLOOR
     norms = np.sqrt(_squared_norms(w))
     units = w / np.maximum(norms, guard)[:, None]
     zero = (norms == 0.0) & (b == 0.0)
@@ -398,7 +386,7 @@ def _pair_scorer(layer: FcLayer, cfg: SimilarityConfig):
     return heuristic
 
 
-def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
+def _sim_sq_lower_bounds(layer: FcLayer, mode: SimilarityMode) -> np.ndarray:
     """Row ``c``: a certified lower bound on every ``sim_sq[c, r]``, from BLAS products.
 
     Each squared distance comes from the Gram form ``|a|^2 + |b|^2 - 2a.b``
@@ -430,15 +418,16 @@ def _sim_sq_lower_bounds(layer: FcLayer, cfg: SimilarityConfig) -> np.ndarray:
     floor = (d + 16) * np.finfo(np.float64).tiny
     nsq = _squared_norms(w)
     norms = np.sqrt(nsq)
-    heuristic = cfg.mode is SimilarityMode.NORMALIZED_HEURISTIC
+    heuristic = mode is SimilarityMode.NORMALIZED_HEURISTIC
     if heuristic:
-        guard = cfg.denominator_guard
+        guard = _DENOMINATOR_FLOOR
         scale = 1.0 / np.maximum(norms, guard)
         unit_sq = nsq * scale * scale
         # Unit rows have norm at most 1 (times 1 + O(d u)), so (|a| + |b|)^2 <= 4.
         unit_margin = 4 * tol + floor * scale.max() * scale.max()
-    # At most n/8 rows, so the blocks' squares cover little of the lower triangle.
-    block = max(1, min(_BLOCK_BYTES // (8 * n), -(-n // 8)))
+    # Up to n/8 rows, so the blocks' squares cover little of the lower triangle,
+    # but at least 64: on a narrow layer each block costs more than its square.
+    block = max(1, min(_BLOCK_BYTES // (8 * n), max(64, -(-n // 8))))
     bounds = np.empty((n, n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -511,9 +500,9 @@ class _CertifiedCosts:
     and calls it only on the columns that batch leaves unsettled.
     """
 
-    def __init__(self, layer: FcLayer, cfg: SimilarityConfig):
-        self.score = _pair_scorer(layer, cfg)
-        self.sim_sq = _sim_sq_lower_bounds(layer, cfg)
+    def __init__(self, layer: FcLayer, mode: SimilarityMode):
+        self.score = _pair_scorer(layer, mode)
+        self.sim_sq = _sim_sq_lower_bounds(layer, mode)
         self.exact = np.zeros(self.sim_sq.shape, dtype=bool)
         np.fill_diagonal(self.exact, True)  # the diagonal never enters a cost
         self.pair_block = max(1, _BLOCK_BYTES // (8 * layer.n_in))
@@ -646,7 +635,6 @@ def verify_bound(
     i: int,
     j: int,
     xs,
-    cfg: SimilarityConfig | None = None,
 ) -> list[BoundSample]:
     """Check the removal-error ceiling for merging neuron ``j`` into ``i``.
 
@@ -656,10 +644,6 @@ def verify_bound(
     the squared absorbed input norm. The ceiling is only valid for the raw
     difference, and only where the merged layer feeds the output directly.
     """
-    if cfg is None:
-        cfg = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
-    if cfg.mode is not SimilarityMode.RAW_DIFFERENCE:
-        raise ValueError("the removal bound is only established for the raw difference")
     if layer_index != len(net.layers) - 2:
         raise ValueError("the bound applies to the layer feeding the output directly")
     layer = net.layers[layer_index]

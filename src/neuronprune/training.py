@@ -31,7 +31,7 @@ from .pruning import (
     prune_layer,
     replay_trace,
 )
-from .saliency import SimilarityConfig
+from .saliency import SimilarityMode
 
 __all__ = [
     "TrainConfig",
@@ -271,7 +271,7 @@ def error_curve(
     layer_index: int,
     ds: Dataset,
     policy: PrunePolicy,
-    cfg: SimilarityConfig | None = None,
+    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
     split: str = "test",
     eval_every: int = 1,
 ) -> list[tuple[int, float]]:
@@ -283,7 +283,7 @@ def error_curve(
     """
     _check_prunable(net, layer_index)
     count = net.layers[layer_index].n_out - 1
-    _, trace = prune_layer(net, layer_index, count, policy, cfg)
+    _, trace = prune_layer(net, layer_index, count, policy, mode)
     return trace_error_curve(net, trace, ds, split, eval_every)
 
 
@@ -292,7 +292,7 @@ def compare_policies(
     layer_index: int,
     ds: Dataset,
     random_seeds,
-    cfg: SimilarityConfig | None = None,
+    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
     split: str = "test",
     eval_every: int = 1,
 ) -> tuple[dict, dict]:
@@ -309,10 +309,10 @@ def compare_policies(
         raise ValueError("need at least one random seed")
     count = net.layers[layer_index].n_out - 1
     _, surgery = prune_layer(
-        net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+        net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode
     )
     _, magnitude = prune_layer(
-        net, layer_index, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE), cfg
+        net, layer_index, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE), mode
     )
     traces = {
         PolicyKind.SALIENCY_SURGERY: surgery,
@@ -325,7 +325,7 @@ def compare_policies(
     }
     draws = [
         error_curve(
-            net, layer_index, ds, PrunePolicy(PolicyKind.RANDOM, seed=seed), cfg, split, eval_every
+            net, layer_index, ds, PrunePolicy(PolicyKind.RANDOM, seed=seed), mode, split, eval_every
         )
         for seed in seeds
     ]

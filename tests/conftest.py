@@ -98,8 +98,8 @@ def record_scored_pairs(monkeypatch):
     scored = []
     real = saliency._pair_scorer
 
-    def wrapped(layer, cfg):
-        score = real(layer, cfg)
+    def wrapped(layer, mode):
+        score = real(layer, mode)
 
         def counted(a, b):
             # Record from broadcast copies, but score the arguments as given,

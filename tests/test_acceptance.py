@@ -32,7 +32,6 @@ from neuronprune.pruning import (
     prune_one,
 )
 from neuronprune.saliency import (
-    SimilarityConfig,
     SimilarityMode,
     build_saliency_matrix,
     mean_outgoing_square,
@@ -42,7 +41,7 @@ from neuronprune.saliency import (
 )
 
 SURGERY = PrunePolicy(kind=PolicyKind.SALIENCY_SURGERY)
-RAW = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
+RAW = SimilarityMode.RAW_DIFFERENCE
 
 # Removal checkpoints on the 20-unit fixture: 25%, 50%, 75% of the layer.
 CHECKPOINTS = (5, 10, 15)
@@ -161,8 +160,7 @@ def test_criterion_05_incremental_matrix_matches_rebuild_every_step():
         ),
         input_dim=10,
     )
-    cfg = SimilarityConfig()
-    matrix = build_saliency_matrix(net.layers[0], net.layers[1], cfg)
+    matrix = build_saliency_matrix(net.layers[0], net.layers[1])
     worst = 0.0
     steps = 0
     while matrix.n_live > 1:
@@ -170,7 +168,7 @@ def test_criterion_05_incremental_matrix_matches_rebuild_every_step():
         steps += 1
         if matrix.n_live < 2:
             break  # a single survivor has no pairs left to rank
-        fresh = build_saliency_matrix(net.layers[0], net.layers[1], cfg)
+        fresh = build_saliency_matrix(net.layers[0], net.layers[1])
         live = matrix.values[np.ix_(matrix.live, matrix.live)]
         assert live.shape == fresh.values.shape
         denom = np.maximum(np.abs(fresh.values), 1.0)

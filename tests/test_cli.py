@@ -22,7 +22,7 @@ from neuronprune.data import make_blobs
 from neuronprune.model_io import import_trace, load_model, save_model
 from neuronprune.network import Activation, FcLayer, Network, layer_sizes, param_count
 from neuronprune.pruning import PolicyKind, PrunePolicy, prune_layer
-from neuronprune.saliency import SimilarityConfig
+from neuronprune.saliency import SimilarityMode
 from neuronprune.training import TrainConfig, error_curve, evaluate, train
 
 # One small, cleanly separable synthetic problem shared by every test.
@@ -158,7 +158,7 @@ class TestPrune:
             0,
             5,
             PrunePolicy(kind=PolicyKind.SALIENCY_SURGERY),
-            SimilarityConfig(),
+            SimilarityMode.NORMALIZED_HEURISTIC,
         )
         got = import_trace(trace_path)
         assert [s.removed for s in got.steps] == [s.removed for s in expected.steps]
@@ -459,7 +459,7 @@ class TestCompare:
             0,
             cli_dataset(),
             PrunePolicy(kind=PolicyKind.NAIVE_MAGNITUDE),
-            SimilarityConfig(),
+            SimilarityMode.NORMALIZED_HEURISTIC,
             split="test",
             eval_every=3,
         )

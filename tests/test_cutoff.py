@@ -24,7 +24,6 @@ from neuronprune import (
     export_report_json,
     histogram,
     prune_layer,
-    SimilarityConfig,
     SimilarityMode,
 )
 from neuronprune.cutoff import _slope_mass
@@ -247,9 +246,10 @@ def overflowing_trace():
         ),
         input_dim=2,
     )
-    cfg = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg)
+        _, trace = prune_layer(
+            net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), SimilarityMode.RAW_DIFFERENCE
+        )
     return trace
 
 

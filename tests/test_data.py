@@ -76,12 +76,6 @@ class TestMakeBlobs:
         flipped = np.mean(clean.labels != noisy.labels)
         assert flipped == pytest.approx(0.1, abs=0.02)
 
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            make_blobs(fractions=(0.5, 0.5, 0.2))
-        with pytest.raises(ValueError):
-            make_blobs(fractions=(1.0, 0.0, 0.0))
-
     def test_labels_are_every_class(self):
         ds = make_blobs(n_samples=400, n_classes=5, seed=4)
         assert set(np.unique(ds.labels)) == set(range(5))

@@ -17,7 +17,6 @@ from neuronprune import (
     PrunePolicy,
     PruneStep,
     PruneTrace,
-    SimilarityConfig,
     SimilarityMode,
     TrainConfig,
     build_saliency_matrix,
@@ -41,7 +40,7 @@ from neuronprune.pruning import _EditState
 from neuronprune.saliency import _cheapest, _column_minima
 from conftest import awkward_layer, record_scored_pairs
 
-HEUR = SimilarityConfig()
+HEUR = SimilarityMode.NORMALIZED_HEURISTIC
 
 
 def seeded_net(seed, d_in=6, hidden=8, d_out=3, activation=Activation.SIGMOID):
@@ -513,10 +512,10 @@ def same_network(a, b):
     return True
 
 
-def reference_prune(net, layer_index, count, cfg):
+def reference_prune(net, layer_index, count, mode):
     """The removal loop as a fold of the public reference step."""
     matrix = build_saliency_matrix(
-        net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
+        net.layers[layer_index], net.layers[layer_index + 1], mode, layer_index
     )
     steps = []
     for _ in range(count):
@@ -538,10 +537,10 @@ def reference_replay(net, trace):
     return net
 
 
-def reference_loop(net, layer_index, count, cfg):
+def reference_loop(net, layer_index, count, mode):
     """The removal loop on the full exact matrix, with cached column minima."""
     matrix = build_saliency_matrix(
-        net.layers[layer_index], net.layers[layer_index + 1], cfg, layer_index
+        net.layers[layer_index], net.layers[layer_index + 1], mode, layer_index
     )
     sim_sq = matrix.sim_sq
     msq = matrix.mean_sq_out.copy()
@@ -565,13 +564,13 @@ def reference_loop(net, layer_index, count, cfg):
     return state.network(), tuple(steps)
 
 
-def assert_matches_reference_loop(net, cfg, layer_index=0):
+def assert_matches_reference_loop(net, mode, layer_index=0):
     """Prune to one neuron and compare with :func:`reference_loop` bit for bit."""
     count = net.layers[layer_index].n_out - 1
     pruned, trace = prune_layer(
-        net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+        net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode
     )
-    want_net, want_steps = reference_loop(net, layer_index, count, cfg)
+    want_net, want_steps = reference_loop(net, layer_index, count, mode)
     assert trace.steps == want_steps
     assert same_network(pruned, want_net)
     return trace
@@ -657,26 +656,24 @@ class TestFastLoopMatchesReference:
         net, layer_index = LOOP_CASES[case]
         width = net.layers[layer_index].n_out
         count = max(1, round(share * (width - 1)))
-        cfg = SimilarityConfig(mode=mode)
         pruned, trace = prune_layer(
-            net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+            net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode
         )
-        want_net, want_steps = reference_prune(net, layer_index, count, cfg)
+        want_net, want_steps = reference_prune(net, layer_index, count, mode)
         assert trace.steps == want_steps
         assert same_network(pruned, want_net)
 
     @pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
     def test_column_scans_in_many_blocks_change_nothing(self, mode, monkeypatch):
         net, layer_index = LOOP_CASES["tied"]
-        cfg = SimilarityConfig(mode=mode)
         policy = PrunePolicy(PolicyKind.SALIENCY_SURGERY)
-        want_net, want_trace = prune_layer(net, layer_index, 15, policy, cfg)
+        want_net, want_trace = prune_layer(net, layer_index, 15, policy, mode)
         # Three columns a block: the first scan of all 16 columns takes six.
         monkeypatch.setattr(saliency, "_BLOCK_BYTES", 3 * 8 * 16)
-        pruned, trace = prune_layer(net, layer_index, 15, policy, cfg)
+        pruned, trace = prune_layer(net, layer_index, 15, policy, mode)
         assert trace == want_trace
         assert same_network(pruned, want_net)
-        assert reference_prune(net, layer_index, 15, cfg)[1] == trace.steps
+        assert reference_prune(net, layer_index, 15, mode)[1] == trace.steps
 
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     @pytest.mark.parametrize(
@@ -709,13 +706,13 @@ class TestCertifiedLoopMatchesReferenceLoop:
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_loop_cases(self, mode, case):
         net, layer_index = LOOP_CASES[case]
-        assert_matches_reference_loop(net, SimilarityConfig(mode=mode), layer_index)
+        assert_matches_reference_loop(net, mode, layer_index)
 
     @MODES
     @pytest.mark.parametrize("seed", [0, 1])
     def test_1024_wide_near_twins(self, mode, seed):
         net = near_twin_net(seed, n_in=256, width=1024)
-        trace = assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
+        trace = assert_matches_reference_loop(net, mode)
         assert np.count_nonzero(trace.saliencies() == 0.0) == 8
 
     @MODES
@@ -723,11 +720,11 @@ class TestCertifiedLoopMatchesReferenceLoop:
     @pytest.mark.parametrize("width, group", [(9, 3), (129, 3), (1001, 7)])
     def test_widths_between_bound_blocks(self, mode, width, group):
         net = near_twin_net(width, n_in=24, width=width, group=group, copies=2)
-        assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
+        assert_matches_reference_loop(net, mode)
 
     def test_4096_wide_near_twins_raw(self):
         net = near_twin_net(2, n_in=64, width=4096, copies=16)
-        assert_matches_reference_loop(net, SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE))
+        assert_matches_reference_loop(net, SimilarityMode.RAW_DIFFERENCE)
 
     @MODES
     def test_trained_256_wide_relu_layer(self, mode):
@@ -735,7 +732,7 @@ class TestCertifiedLoopMatchesReferenceLoop:
         net = train(
             ds, TrainConfig(hidden_units=256, activation=Activation.RELU, epochs=20, seed=6)
         )
-        assert_matches_reference_loop(net, SimilarityConfig(mode=mode))
+        assert_matches_reference_loop(net, mode)
 
 
 def scaled_rows(seed, n, d, norm):
@@ -753,7 +750,7 @@ class TestGramCancellation:
         w, b = scaled_rows(50, 12, 9, norm)
         w[3] = w[2] * (1 + 1e-9)
         w[6:], b[6:] = w[:6], b[:6]
-        trace = assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+        trace = assert_matches_reference_loop(two_layer_net(w, b), mode)
         assert np.count_nonzero(trace.saliencies() == 0.0) >= 6
 
     @MODES
@@ -763,7 +760,7 @@ class TestGramCancellation:
             w[k + 1] = w[k]
             b[k + 1] = b[k]
             w[k + 1, k] = np.nextafter(w[k, k], np.inf)
-        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+        assert_matches_reference_loop(two_layer_net(w, b), mode)
 
     @MODES
     def test_positive_scale_copies(self, mode):
@@ -771,21 +768,21 @@ class TestGramCancellation:
         scales = np.array([1.0, 0.5, 3.0, 1e-3, 7.0, 1.0 + 2**-40])
         w = np.concatenate([w * c for c in scales])
         b = np.concatenate([b * c for c in scales])
-        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+        assert_matches_reference_loop(two_layer_net(w, b), mode)
 
     @MODES
     def test_opposite_rows(self, mode):
         w, b = scaled_rows(53, 6, 5, 1.0)
         w = np.concatenate([w, -w, w[:2]])
         b = np.concatenate([b, b, b[:2]])
-        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+        assert_matches_reference_loop(two_layer_net(w, b), mode)
 
     @MODES
     def test_biases_summing_to_zero(self, mode):
         w, b = scaled_rows(54, 6, 5, 1.0)
         w = np.concatenate([w, w, w + 1e-7])
         b = np.concatenate([b, -b, b])
-        assert_matches_reference_loop(two_layer_net(w, b), SimilarityConfig(mode=mode))
+        assert_matches_reference_loop(two_layer_net(w, b), mode)
 
     def test_rows_whose_products_overflow(self):
         # Squared norms of 1e200-sized rows overflow; the heuristic's exact
@@ -803,11 +800,10 @@ class TestGramCancellation:
         # minimum is then inf, above the sentinel on the diagonal.
         rng = np.random.default_rng(57)
         net = two_layer_net(rng.normal(size=(4, 2)) * 1e160, rng.normal(size=4))
-        cfg = SimilarityConfig(mode=mode)
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = assert_matches_reference_loop(net, cfg)
-            assert reference_prune(net, 0, 3, cfg)[1] == trace.steps
-            pruned, _ = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg)
+            trace = assert_matches_reference_loop(net, mode)
+            assert reference_prune(net, 0, 3, mode)[1] == trace.steps
+            pruned, _ = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
         assert same_network(replay_trace(net, trace), pruned)
         if mode is SimilarityMode.RAW_DIFFERENCE:
             assert np.isinf(trace.saliencies()).all()
@@ -820,15 +816,14 @@ class TestGramCancellation:
         w[[1, 4]] = 0.0
         b[[1, 4]] = 0.0
         net = two_layer_net(w, b)
-        cfg = SimilarityConfig(mode=mode)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg)
+            prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == (1 if mode is SimilarityMode.NORMALIZED_HEURISTIC else 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert_matches_reference_loop(net, cfg)
+            assert_matches_reference_loop(net, mode)
 
 
 class TestExactScoring:
@@ -838,8 +833,7 @@ class TestExactScoring:
         net, layer_index = LOOP_CASES[case]
         n = net.layers[layer_index].n_out
         scored = record_scored_pairs(monkeypatch)
-        prune_layer(net, layer_index, n - 1, PrunePolicy(PolicyKind.SALIENCY_SURGERY),
-                    SimilarityConfig(mode=mode))
+        prune_layer(net, layer_index, n - 1, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
         # All-equal is the worst case: each removal takes the first live row,
         # which every column's minimum sat in, so every pair comes due once.
         assert scored
@@ -889,15 +883,14 @@ class TestRescanMatchesReferenceLoop:
     def test_prune_layer_equals_reference_loop(self, mode, share, seed, n, d, log_scale):
         net = two_layer_net(*awkward_layer(seed, n, d, log_scale), seed=seed % 1000)
         count = max(1, round(share * (n - 1)))
-        cfg = SimilarityConfig(mode=mode)
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
             warnings.simplefilter("ignore", RuntimeWarning)
             scored = record_scored_pairs(patch)
             pruned, trace = prune_layer(
-                net, 0, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), cfg
+                net, 0, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode
             )
             patch.undo()
-            want_net, want_steps = reference_loop(net, 0, count, cfg)
+            want_net, want_steps = reference_loop(net, 0, count, mode)
         assert trace.steps == want_steps
         assert same_network(pruned, want_net)
         assert len(set(scored)) == len(scored)

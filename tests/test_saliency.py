@@ -18,7 +18,6 @@ from neuronprune import (
     Network,
     PolicyKind,
     PrunePolicy,
-    SimilarityConfig,
     SimilarityMode,
     WeightSet,
     build_saliency_matrix,
@@ -37,8 +36,8 @@ from neuronprune import (
 from neuronprune.saliency import _mean_outgoing_squares, _sim_sq_lower_bounds
 from conftest import awkward_layer, record_scored_pairs
 
-RAW = SimilarityConfig(mode=SimilarityMode.RAW_DIFFERENCE)
-HEUR = SimilarityConfig()
+RAW = SimilarityMode.RAW_DIFFERENCE
+HEUR = SimilarityMode.NORMALIZED_HEURISTIC
 
 finite_vec = arrays(
     np.float64,
@@ -86,28 +85,28 @@ class TestRawDifference:
 class TestHeuristicSimilarity:
     def test_identical_nonzero_sets_give_zero(self):
         ws = WeightSet(np.array([0.5, 2.0, -1.0]), 0.75)
-        assert heuristic_similarity(ws, ws, HEUR) == 0.0
+        assert heuristic_similarity(ws, ws) == 0.0
 
     def test_scaled_copy_leaves_only_bias_term(self):
         # A 0.9-scaled copy points the same direction, so the direction term
         # vanishes and only |0.1 b| / |1.9 b| survives.
         w = np.array([2.0, -1.0, 0.5])
         b = 0.8
-        got = heuristic_similarity(WeightSet(w, b), WeightSet(0.9 * w, 0.9 * b), HEUR)
+        got = heuristic_similarity(WeightSet(w, b), WeightSet(0.9 * w, 0.9 * b))
         assert got == pytest.approx(0.1 / 1.9, rel=1e-12)
         assert got == pytest.approx(0.0526, abs=5e-4)
 
     def test_opposed_pair_is_large_but_finite(self):
         a = WeightSet(np.array([1.0, 0.0]), 0.5)
         b = WeightSet(np.array([-1.0, 0.0]), -0.5)
-        got = heuristic_similarity(a, b, HEUR)
+        got = heuristic_similarity(a, b)
         assert np.isfinite(got)
         assert got > 1e11
 
     def test_all_zero_pair_warns_and_returns_zero(self):
         z = WeightSet(np.zeros(3), 0.0)
         with pytest.warns(RuntimeWarning):
-            assert heuristic_similarity(z, z, HEUR) == 0.0
+            assert heuristic_similarity(z, z) == 0.0
 
     @given(finite_vec, st.floats(-5, 5), st.floats(-5, 5))
     def test_symmetric_in_its_arguments(self, w, bi, bj):
@@ -116,17 +115,34 @@ class TestHeuristicSimilarity:
         a, b = WeightSet(w, bi), WeightSet(wj, bj)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert heuristic_similarity(a, b, HEUR) == heuristic_similarity(b, a, HEUR)
-
-    def test_guard_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimilarityConfig(denominator_guard=0.0)
+            assert heuristic_similarity(a, b) == heuristic_similarity(b, a)
 
     def test_dispatcher_selects_mode(self):
         a = WeightSet(np.array([1.0, 0.0]), 0.0)
         b = WeightSet(np.array([0.0, 1.0]), 0.0)
         assert similarity(a, b, RAW) == raw_difference(a, b)
-        assert similarity(a, b, HEUR) == heuristic_similarity(a, b, HEUR)
+        assert similarity(a, b, HEUR) == heuristic_similarity(a, b)
+
+
+class TestDenominatorFloor:
+    """Rows ``w`` and ``-w`` with biases 0.7 and -0.7 zero both heuristic denominators."""
+
+    def test_every_path_divides_by_the_same_floor(self):
+        w = np.array([0.3, -1.2, 0.5])
+        layer = FcLayer(np.stack([w, -w]), np.array([0.7, -0.7]), Activation.RELU)
+        nxt = FcLayer(np.array([[1.0, 2.0], [0.5, -1.0]]), np.zeros(2), Activation.IDENTITY)
+        # Unit rows 2 apart and biases 1.4 apart, each over the 1e-12 floor.
+        assert heuristic_similarity(layer.weight_set(0), layer.weight_set(1)) == 3.4e12
+        score = saliency._pair_scorer(layer, HEUR)
+        assert score(np.array([0]), np.array([1]))[0] == 3.4e12
+        assert score(0, np.array([1]))[0] == 3.4e12
+        matrix = build_saliency_matrix(layer, nxt)
+        assert matrix.sim_sq[0, 1] == matrix.sim_sq[1, 0] == 1.156e25
+        assert 1.96e24 <= _sim_sq_lower_bounds(layer, HEUR)[0, 1] <= 1.156e25
+        net = Network((layer, nxt), input_dim=3)
+        _, trace = prune_layer(net, 0, 1, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        (step,) = trace.steps
+        assert step.saliency == matrix.values[step.kept, step.removed]
 
 
 class TestMeanOutgoingSquare:
@@ -181,40 +197,40 @@ class TestSaliencyMatrix:
 
     def test_every_entry_matches_double_loop_oracle(self):
         layer, nxt = seeded_pair_layer(2, n=6)
-        for cfg in (RAW, HEUR):
-            m = build_saliency_matrix(layer, nxt, cfg)
+        for mode in (RAW, HEUR):
+            m = build_saliency_matrix(layer, nxt, mode)
             for i in range(6):
                 for j in range(6):
                     if i == j:
                         assert m.values[i, j] == DIAGONAL_SENTINEL
                         continue
-                    sim = similarity(layer.weight_set(i), layer.weight_set(j), cfg)
+                    sim = similarity(layer.weight_set(i), layer.weight_set(j), mode)
                     want = mean_outgoing_square(nxt, j) * sim**2
                     assert m.values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     @staticmethod
-    def assert_sim_sq_equals_scalar_reference(layer, nxt, cfg):
+    def assert_sim_sq_equals_scalar_reference(layer, nxt, mode):
         sets = [layer.weight_set(k) for k in range(layer.n_out)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            m = build_saliency_matrix(layer, nxt, cfg)
+            m = build_saliency_matrix(layer, nxt, mode)
             for i, si in enumerate(sets):
                 for j, sj in enumerate(sets):
-                    s = 0.0 if i == j else similarity(si, sj, cfg)
+                    s = 0.0 if i == j else similarity(si, sj, mode)
                     # The build squares by multiplication, as s ** 2 (libm
                     # pow) can differ from s * s in the last bit.
                     assert m.sim_sq[i, j] == s * s, (i, j)
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("d", [4, 60_000], ids=["narrow", "blocked"])
-    def test_sim_sq_equals_scalar_reference_bit_for_bit(self, cfg, d):
+    def test_sim_sq_equals_scalar_reference_bit_for_bit(self, mode, d):
         # 60k inputs make the build score each row in several blocks.
         layer, nxt = seeded_pair_layer(11, n=12, d=d)
         w = layer.weights.copy()
         b = layer.bias.copy()
         w[7], b[7] = w[2], b[2]
         w[9], b[9] = 0.9 * w[4], 0.9 * b[4]
-        self.assert_sim_sq_equals_scalar_reference(FcLayer(w, b, layer.activation), nxt, cfg)
+        self.assert_sim_sq_equals_scalar_reference(FcLayer(w, b, layer.activation), nxt, mode)
 
     def test_raw_bias_term_squares_like_the_scalar_reference(self):
         # Each of these differences squares to a different double under
@@ -329,10 +345,10 @@ def brute_force_argmin(m):
     return int(kept), int(removed)
 
 
-def prune_one_chain(layer, nxt, cfg):
+def prune_one_chain(layer, nxt, mode):
     """The matrix before every step of a prune-to-one by ``prune_one``."""
     net = net_of(layer, nxt)
-    m = build_saliency_matrix(layer, nxt, cfg)
+    m = build_saliency_matrix(layer, nxt, mode)
     chain = [m]
     while m.n_live > 2:
         net, m, _ = prune_one(net, 0, m)
@@ -347,16 +363,16 @@ class TestDerivedCosts:
         "seeded": seeded_pair_layer,
     }
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_argmin_live_equals_brute_force_tie_rule(self, case, cfg):
-        for m in prune_one_chain(*self.CASES[case](21), cfg):
+    def test_argmin_live_equals_brute_force_tie_rule(self, case, mode):
+        for m in prune_one_chain(*self.CASES[case](21), mode):
             assert m.argmin_live() == brute_force_argmin(m)
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_values_are_the_product_or_the_sentinel(self, case, cfg):
-        for m in prune_one_chain(*self.CASES[case](22), cfg):
+    def test_values_are_the_product_or_the_sentinel(self, case, mode):
+        for m in prune_one_chain(*self.CASES[case](22), mode):
             n = m.n_original
             values = m.values
             assert values.shape == (n, n)
@@ -369,14 +385,14 @@ class TestDerivedCosts:
                         assert values[i, j] == DIAGONAL_SENTINEL
 
 
-def checked_lower_bounds(w, b, cfg):
+def checked_lower_bounds(w, b, mode):
     """The certified bounds of a layer, after checking them against the exact build."""
     layer = FcLayer(w, b, Activation.RELU)
     nxt = FcLayer(np.ones((1, len(b))), np.zeros(1), Activation.IDENTITY)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        exact = build_saliency_matrix(layer, nxt, cfg).sim_sq
-    bounds = _sim_sq_lower_bounds(layer, cfg)
+        exact = build_saliency_matrix(layer, nxt, mode).sim_sq
+    bounds = _sim_sq_lower_bounds(layer, mode)
     off = ~np.eye(len(b), dtype=bool)
     assert np.all(bounds[off] <= exact[off])
     return bounds, exact
@@ -406,56 +422,56 @@ def bias_dominated_rows(seed, n, d):
 
 
 class TestCertifiedLowerBounds:
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("rows", [awkward_layer, near_twin_rows], ids=["awkward", "near-twin"])
     # Up to 8 rows a block holds one row; 9, 129 and 1000 rows take blocks of 2, 17 and 125.
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 129, 1000])
-    def test_exactly_symmetric_and_never_above_the_exact_entry(self, cfg, rows, n):
+    def test_exactly_symmetric_and_never_above_the_exact_entry(self, mode, rows, n):
         w, b = rows(n, n, 6, 0.0)
         if n == 1:
-            bounds = _sim_sq_lower_bounds(FcLayer(w, b, Activation.RELU), cfg)
+            bounds = _sim_sq_lower_bounds(FcLayer(w, b, Activation.RELU), mode)
         else:
-            bounds, _ = checked_lower_bounds(w, b, cfg)
+            bounds, _ = checked_lower_bounds(w, b, mode)
         assert bounds.shape == (n, n)
         assert np.array_equal(bounds, bounds.T)
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 9),
         d=st.integers(1, 40),
         log_scale=st.floats(-6.0, 6.0),
     )
-    def test_never_above_the_exact_entry(self, cfg, seed, n, d, log_scale):
-        checked_lower_bounds(*awkward_layer(seed, n, d, log_scale), cfg)
+    def test_never_above_the_exact_entry(self, mode, seed, n, d, log_scale):
+        checked_lower_bounds(*awkward_layer(seed, n, d, log_scale), mode)
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @given(
         w=arrays(np.float64, (5, 3), elements=st.floats(-1e3, 1e3, allow_nan=False)),
         b=arrays(np.float64, 5, elements=st.floats(-1e3, 1e3, allow_nan=False)),
     )
-    def test_never_above_the_exact_entry_on_arbitrary_rows(self, cfg, w, b):
-        checked_lower_bounds(w, b, cfg)
+    def test_never_above_the_exact_entry_on_arbitrary_rows(self, mode, w, b):
+        checked_lower_bounds(w, b, mode)
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("log_scale", [-300, -160, 160, 200, 300])
-    def test_never_above_the_exact_entry_where_products_leave_the_range(self, cfg, log_scale):
+    def test_never_above_the_exact_entry_where_products_leave_the_range(self, mode, log_scale):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            bounds, _ = checked_lower_bounds(*awkward_layer(3, 8, 5, log_scale), cfg)
+            bounds, _ = checked_lower_bounds(*awkward_layer(3, 8, 5, log_scale), mode)
         assert not np.isnan(bounds).any()
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
-    def test_tight_away_from_duplicates(self, cfg):
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
+    def test_tight_away_from_duplicates(self, mode):
         rng = np.random.default_rng(26)
         w = rng.normal(size=(40, 300))
-        bounds, exact = checked_lower_bounds(w, rng.normal(size=40), cfg)
+        bounds, exact = checked_lower_bounds(w, rng.normal(size=40), mode)
         off = ~np.eye(40, dtype=bool)
         assert np.all(bounds[off] >= exact[off] * (1 - 1e-9))
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
-    def test_blocked_build_still_bounds(self, cfg, monkeypatch):
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
+    def test_blocked_build_still_bounds(self, mode, monkeypatch):
         monkeypatch.setattr(saliency, "_BLOCK_BYTES", 3 * 8 * 9)
-        checked_lower_bounds(*awkward_layer(27, 9, 5, 0.0), cfg)
+        checked_lower_bounds(*awkward_layer(27, 9, 5, 0.0), mode)
 
     @pytest.mark.parametrize("block_bytes", [saliency._BLOCK_BYTES, 8], ids=["default", "one-row"])
     def test_raw_bias_square_by_multiply_still_bounds(self, block_bytes, monkeypatch):
@@ -491,7 +507,7 @@ class TestCertifiedLowerBounds:
 class TestOnePairScorer:
     """A scalar row against a one-element index array skips the batch, bit for bit."""
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 9),
@@ -500,30 +516,30 @@ class TestOnePairScorer:
         zeros=st.booleans(),
         huge=st.booleans(),
     )
-    def test_one_pair_equals_the_batch(self, cfg, seed, n, d, log_scale, zeros, huge):
+    def test_one_pair_equals_the_batch(self, mode, seed, n, d, log_scale, zeros, huge):
         w, b = awkward_layer(seed, n, d, log_scale)
         if zeros:
             w[:2], b[:2] = 0.0, 0.0
         if huge:
             w[-2:] *= 1e160
             b[-2:] *= 1e160
-        self.assert_one_pair_equals_the_batch(w, b, cfg)
+        self.assert_one_pair_equals_the_batch(w, b, mode)
 
-    @pytest.mark.parametrize("cfg", [RAW, HEUR], ids=["raw", "heuristic"])
-    def test_one_pair_equals_the_batch_on_many_pairs(self, cfg):
+    @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
+    def test_one_pair_equals_the_batch_on_many_pairs(self, mode):
         # Some of these bias differences square differently under pow and
         # under a multiply, and the weight term keeps that last bit.
         rng = np.random.default_rng(52)
         b = rng.normal(size=200) * 10.0 ** rng.uniform(-3, 3, 200)
-        self.assert_one_pair_equals_the_batch(rng.normal(size=(200, 1)), b, cfg)
+        self.assert_one_pair_equals_the_batch(rng.normal(size=(200, 1)), b, mode)
 
     @staticmethod
-    def assert_one_pair_equals_the_batch(w, b, cfg):
+    def assert_one_pair_equals_the_batch(w, b, mode):
         n = len(b)
         rows = np.arange(n)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
-            score = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), cfg)
+            score = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), mode)
             for a in range(n):
                 batch = score(np.full(n, a), rows)
                 for r in range(n):
@@ -835,11 +851,6 @@ class TestOutputGapBound:
             h = np.maximum(first.weights @ x + first.bias, 0.0)
             assert s.bound_value == pytest.approx(a_sq * eps * eps * (h @ h + 1.0), rel=1e-12)
             assert s.holds
-
-    def test_heuristic_mode_rejected(self):
-        net = self.seeded_net(0)
-        with pytest.raises(ValueError):
-            verify_bound(net, 0, 0, 1, np.zeros((1, 10)), cfg=HEUR)
 
     def test_inequality_chain_holds_samplewise(self):
         """The squared output gap factors through the inner-product form
