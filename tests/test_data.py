@@ -80,6 +80,16 @@ class TestMakeBlobs:
         ds = make_blobs(n_samples=400, n_classes=5, seed=4)
         assert set(np.unique(ds.labels)) == set(range(5))
 
+    def test_split_is_sixty_twenty_twenty(self):
+        for n, want in ((1000, (600, 200, 200)), (4300, (2580, 860, 860))):
+            ds = make_blobs(n_samples=n, seed=5)
+            assert (len(ds.train_idx), len(ds.val_idx), len(ds.test_idx)) == want
+
+    def test_too_few_samples_for_the_split_rejected(self):
+        # Four samples leave no validation row under the 20% share.
+        with pytest.raises(ValueError, match="dataset too small for the requested split"):
+            make_blobs(n_samples=4)
+
 
 class TestLoadCsv:
     def write_csv(self, path, n=60, d=3, header=False, seed=0):
@@ -119,6 +129,12 @@ class TestLoadCsv:
         train_part = ds.features[ds.train_idx]
         np.testing.assert_allclose(train_part.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(train_part.std(axis=0), 1.0, rtol=1e-12)
+
+    def test_split_is_sixty_twenty_twenty(self, tmp_path):
+        p = tmp_path / "data.csv"
+        self.write_csv(p, n=60)
+        ds = load_csv(p)
+        assert (len(ds.train_idx), len(ds.val_idx), len(ds.test_idx)) == (36, 12, 12)
 
     def test_non_integer_label_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -424,7 +424,8 @@ def bias_dominated_rows(seed, n, d):
 class TestCertifiedLowerBounds:
     @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("rows", [awkward_layer, near_twin_rows], ids=["awkward", "near-twin"])
-    # Up to 8 rows a block holds one row; 9, 129 and 1000 rows take blocks of 2, 17 and 125.
+    # Blocks hold at least 64 rows: up to 64 rows make one block, 129 make three,
+    # and 1000 make eight of 125.
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 129, 1000])
     def test_exactly_symmetric_and_never_above_the_exact_entry(self, mode, rows, n):
         w, b = rows(n, n, 6, 0.0)
