@@ -15,7 +15,7 @@ on it; both subcommands share the flags that build this fixture.
   histogram, while the data-driven rule spends a small budget of error
   measurements. It prints each prediction next to the error increase
   actually measured at that removal count, and writes each seed's trace
-  and data-free report.
+  and data-free JSON report.
 
 Examples, from the repository root:
     PYTHONPATH=src python3 scripts/experiment.py compare --out-dir results/comparison
@@ -36,7 +36,7 @@ from neuronprune import (
     data_driven_cutoff,
     data_free_cutoff,
     export_curve,
-    export_report,
+    export_report_json,
     export_trace,
     make_blobs,
     prune_layer,
@@ -127,7 +127,7 @@ def cutoff(args):
 
         free = data_free_cutoff(trace)
         export_trace(trace, args.out_dir / f"trace_seed{seed}.csv")
-        export_report(free, args.out_dir / f"data_free_seed{seed}.txt")
+        export_report_json(free, args.out_dir / f"data_free_seed{seed}.json")
 
         oracle = replay_error_oracle(net, trace, ds, "val")
         with warnings.catch_warnings():

@@ -23,7 +23,6 @@ from .cutoff import data_driven_cutoff, data_free_cutoff
 from .data import load_csv, make_blobs
 from .model_io import (
     export_curve,
-    export_report,
     export_report_json,
     export_trace,
     import_trace,
@@ -191,7 +190,7 @@ def _cmd_prune(parser: argparse.ArgumentParser, args) -> int:
 def _cmd_cutoff(parser: argparse.ArgumentParser, args) -> int:
     trace = import_trace(args.trace, layer_index=args.layer_index)
     if args.method == "data-free":
-        report = data_free_cutoff(trace, n_bins=args.bins, fraction=args.fraction)
+        report = data_free_cutoff(trace, n_bins=args.bins)
     else:
         if args.model is None:
             parser.error("--method data-driven requires --model")
@@ -208,9 +207,6 @@ def _cmd_cutoff(parser: argparse.ArgumentParser, args) -> int:
     print(f"cutoff_saliency: {report.cutoff_saliency:.6g}")
     if report.warning:
         print(f"warning: {report.warning}")
-    if args.report is not None:
-        export_report(report, args.report)
-        print(f"wrote report: {args.report}")
     if args.json is not None:
         export_report_json(report, args.json)
         print(f"wrote report: {args.json}")
@@ -287,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cutoff.add_argument("--method", choices=["data-free", "data-driven"], default="data-free")
     p_cutoff.add_argument("--layer-index", type=int, default=0, help="layer the trace describes")
     p_cutoff.add_argument("--bins", type=int, default=50, help="histogram bins (data-free)")
-    p_cutoff.add_argument(
-        "--fraction", type=float, default=1.0, help="fraction of the prediction to keep"
-    )
-    p_cutoff.add_argument("--report", help="write the report as key-value text")
     p_cutoff.add_argument("--json", help="write the report as JSON")
     p_cutoff.add_argument("--model", help="model file (data-driven)")
     p_cutoff.add_argument("--budget", type=int, default=12, help="max oracle calls (data-driven)")

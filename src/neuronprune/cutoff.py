@@ -7,8 +7,8 @@ record):
 * Data-free: histogram the recorded saliencies. Cheap removals pile up
   in a tall narrow peak and expensive ones stretch into a sparse tail,
   so the center of the most populated bin separates the two regimes.
-  The rule removes (a fraction of) the steps at or below that value and
-  never needs a single evaluation pass.
+  The rule removes the steps at or below that value and never needs a
+  single evaluation pass.
 * Data-driven: measure the post-pruning error at a handful of step
   counts and return the deepest measured step that stays within a given
   error increase over the unpruned baseline. Measurement positions are
@@ -97,14 +97,11 @@ class CutoffReport:
     cutoff_saliency: float
     method: CutoffMethod
     evidence: object
-    fraction: float = 1.0
     warning: str | None = None
 
     def __post_init__(self):
         if self.predicted_count < 0:
             raise ValueError("predicted_count must be nonnegative")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
 
 
 def histogram(trace: PruneTrace, n_bins: int) -> SaliencyHistogram:
@@ -134,14 +131,12 @@ def histogram(trace: PruneTrace, n_bins: int) -> SaliencyHistogram:
     )
 
 
-def data_free_cutoff(
-    trace: PruneTrace, n_bins: int = 50, fraction: float = 1.0
-) -> CutoffReport:
+def data_free_cutoff(trace: PruneTrace, n_bins: int = 50) -> CutoffReport:
     """Recommend a removal count from the saliency histogram alone.
 
     The cutoff is the center of the histogram's mode bin; the prediction
-    is ``floor(fraction x number of steps with saliency <= cutoff)``, so
-    an inf step never counts.
+    is the number of steps with saliency <= cutoff, so an inf step never
+    counts.
     Counting sub-cutoff steps, rather than taking the index of the last
     one, keeps the rule stable when the trace is locally non-monotone.
     Requires a full trace: a partial one would hide part of the spectrum
@@ -150,8 +145,6 @@ def data_free_cutoff(
     """
     if not trace.is_full:
         raise ValueError("the data-free rule needs a trace pruned down to one neuron")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
     hist = histogram(trace, n_bins)
     cutoff = hist.mode_value
     if hist.degenerate:
@@ -159,14 +152,13 @@ def data_free_cutoff(
         warning = "saliency histogram is degenerate (all values identical); predicting 0"
         warnings.warn(warning, RuntimeWarning, stacklevel=2)
     else:
-        predicted = int(np.floor(fraction * np.count_nonzero(trace.saliencies() <= cutoff)))
+        predicted = int(np.count_nonzero(trace.saliencies() <= cutoff))
         warning = None
     return CutoffReport(
         predicted_count=predicted,
         cutoff_saliency=cutoff,
         method=CutoffMethod.DATA_FREE,
         evidence=hist,
-        fraction=fraction,
         warning=warning,
     )
 

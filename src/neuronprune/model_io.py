@@ -1,4 +1,4 @@
-"""Text serialization for networks, traces, reports, and error curves.
+"""Text serialization for networks, traces, error curves and cutoff reports.
 
 Everything is line-oriented ASCII, so files stay diffable and golden
 examples can live in the test suite and the format documentation.
@@ -18,8 +18,9 @@ reading a value costs a hex decode instead of a decimal parse. Layout::
 Values on a line are separated by single spaces. Version 1 files, the
 same layout with decimal values, still load; only version 2 is written.
 
-Traces, curves and reports stay decimal: floats are printed at 17
-significant digits, enough to reproduce any double exactly on reload.
+Traces and curves stay decimal: floats are printed at 17 significant
+digits, enough to reproduce any double exactly on reload. Cutoff
+reports are JSON, whose floats reload exactly too.
 The trace CSV header is exactly ``step,kept,removed,saliency,test_error``;
 ``kept`` is empty for steps without surgery and ``test_error`` is empty
 when it was not measured.
@@ -33,7 +34,7 @@ from contextlib import closing
 
 import numpy as np
 
-from .cutoff import CutoffMethod, CutoffReport, SaliencyHistogram
+from .cutoff import CutoffReport, SaliencyHistogram
 from .data import _numbered_lines
 from .network import Activation, FcLayer, Network
 from .pruning import PruneStep, PruneTrace
@@ -50,7 +51,6 @@ __all__ = [
     "export_trace",
     "import_trace",
     "export_curve",
-    "export_report",
     "export_report_json",
 ]
 
@@ -185,17 +185,20 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
         n_out = _parse_int(reader, parts[4], "n_out")
         if n_in < 1 or n_out < 1:
             reader.fail("layer dimensions must be positive")
-        rows = [
-            parse_row(reader, reader.next_line(f"weight row {k}"), n_in, f"weight row {k}")
-            for k in range(n_out)
-        ]
+        try:
+            weights = np.empty((n_out, n_in))
+        except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+            reader.fail(f"a layer of {n_out}x{n_in} weights does not fit in memory")
+        for k in range(n_out):
+            what = f"weight row {k}"
+            weights[k] = parse_row(reader, reader.next_line(what), n_in, what)
+        weights.setflags(write=False)  # so FcLayer keeps this one copy
         bias_line = reader.next_line("bias line")
         if not bias_line.startswith("bias"):
             reader.fail("expected a 'bias' line after the weight rows")
         bias = parse_row(reader, bias_line[4:].strip(), n_out, "bias")
         try:
-            # FcLayer stacks the rows into one native float64 matrix itself
-            layers.append(FcLayer(weights=rows, bias=bias, activation=tags[parts[2]]))
+            layers.append(FcLayer(weights=weights, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:
             reader.fail(str(exc))
     if any(line.strip() for _, line in reader.lines):
@@ -273,62 +276,34 @@ def export_curve(curve, path) -> None:
 
 
 def _json_float(value: float):
-    """``value`` as a JSON number, or as the text report's ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    """``value`` as a JSON number, or as the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
     value = float(value)
     return value if math.isfinite(value) else _fmt(value)
 
 
-def _report_payload(report: CutoffReport) -> dict:
+def export_report_json(report: CutoffReport, path) -> None:
+    """Write a cutoff report as strict JSON (RFC 8259)."""
+    evidence = report.evidence
+    if isinstance(evidence, SaliencyHistogram):
+        evidence = {
+            "kind": "histogram",
+            "bin_edges": [_json_float(v) for v in evidence.bin_edges],
+            "counts": [int(c) for c in evidence.counts],
+            "mode_bin": evidence.mode_bin,
+            "degenerate": evidence.degenerate,
+        }
+    else:
+        evidence = {
+            "kind": "error-samples",
+            "samples": [[int(s), _json_float(e)] for s, e in evidence],
+        }
     payload = {
         "method": report.method.value,
         "predicted_count": report.predicted_count,
         "cutoff_saliency": _json_float(report.cutoff_saliency),
-        "fraction": _json_float(report.fraction),
         "warning": report.warning,
+        "evidence": evidence,
     }
-    if isinstance(report.evidence, SaliencyHistogram):
-        payload["evidence"] = {
-            "kind": "histogram",
-            "bin_edges": [_json_float(v) for v in report.evidence.bin_edges],
-            "counts": [int(c) for c in report.evidence.counts],
-            "mode_bin": report.evidence.mode_bin,
-            "degenerate": report.evidence.degenerate,
-        }
-    else:
-        payload["evidence"] = {
-            "kind": "error-samples",
-            "samples": [[int(s), _json_float(e)] for s, e in report.evidence],
-        }
-    return payload
-
-
-def export_report(report: CutoffReport, path) -> None:
-    """Human-readable key-value summary of a cutoff recommendation."""
-    lines = [
-        f"method: {report.method.value}",
-        f"predicted_count: {report.predicted_count}",
-        f"cutoff_saliency: {_fmt(report.cutoff_saliency)}",
-        f"fraction: {_fmt(report.fraction)}",
-    ]
-    if report.warning:
-        lines.append(f"warning: {report.warning}")
-    if isinstance(report.evidence, SaliencyHistogram):
-        hist = report.evidence
-        lines.append("evidence: histogram")
-        lines.append("bin_edges: " + " ".join(_fmt(v) for v in hist.bin_edges))
-        lines.append("counts: " + " ".join(str(int(c)) for c in hist.counts))
-        lines.append(f"mode_bin: {hist.mode_bin}")
-        lines.append(f"degenerate: {str(hist.degenerate).lower()}")
-    else:
-        lines.append("evidence: error-samples")
-        for step, error in report.evidence:
-            lines.append(f"sample: {int(step)} {_fmt(error)}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_report_json(report: CutoffReport, path) -> None:
-    """Machine-readable twin of :func:`export_report`, strict JSON (RFC 8259)."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(_report_payload(report), fh, indent=2, allow_nan=False)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

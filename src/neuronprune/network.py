@@ -1,7 +1,9 @@
 """Dense feedforward networks and the structural edits pruning needs.
 
 Networks are immutable: constructors copy their arrays and mark them
-read-only, and every operation returns a fresh ``Network``. Values can
+read-only, and every operation returns a fresh ``Network``. A float64
+array that is already read-only and owns its data is kept without a
+copy, so its owner must not make it writable again. Values can
 therefore be shared freely across threads without synchronization.
 
 Conventions used throughout the package:
@@ -74,8 +76,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float64 array of ``values``: the array itself if it is one that owns its data."""
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        if values.flags.owndata and not values.flags.writeable:
+            return values
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 

@@ -261,12 +261,17 @@ class _EditState:
         layer = self.net.layers[self.layer_index]
         nxt = self.net.layers[self.layer_index + 1]
         live = self.live
+        weights = layer.weights[live]
         # compress keeps C order, as the per-step deletes did; indexing the
         # columns with a mask would return a Fortran-ordered matrix.
+        next_weights = self.next_weights.compress(live, axis=1)
+        # Both are fresh matrices: read-only, FcLayer keeps them without a copy.
+        weights.setflags(write=False)
+        next_weights.setflags(write=False)
         return self.net.replace_adjacent(
             self.layer_index,
-            FcLayer(layer.weights[live], layer.bias[live], layer.activation),
-            FcLayer(self.next_weights.compress(live, axis=1), nxt.bias, nxt.activation),
+            FcLayer(weights, layer.bias[live], layer.activation),
+            FcLayer(next_weights, nxt.bias, nxt.activation),
         )
 
 

@@ -263,34 +263,33 @@ class TestCutoff:
     def test_json_report_round_trips(self, full_trace_file, tmp_path):
         json_path = tmp_path / "report.json"
         code, out, _ = run_cli(
-            ["cutoff", "--trace", str(full_trace_file), "--fraction", "0.5",
-             "--json", str(json_path)]
+            ["cutoff", "--trace", str(full_trace_file), "--json", str(json_path)]
         )
         assert code == 0
         assert f"wrote report: {json_path}" in out
         payload = json.loads(json_path.read_text())
-        report = data_free_cutoff(import_trace(full_trace_file), fraction=0.5)
+        report = data_free_cutoff(import_trace(full_trace_file))
         assert payload["method"] == "data-free"
         assert payload["predicted_count"] == report.predicted_count
-        assert payload["fraction"] == 0.5
         assert payload["cutoff_saliency"] == report.cutoff_saliency
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_text_report_carries_the_degenerate_warning(self, tmp_path):
+    def test_json_report_carries_the_degenerate_warning(self, tmp_path):
         trace_path = tmp_path / "flat.csv"
         trace_path.write_text("step,kept,removed,saliency,test_error\n1,1,0,0.5,\n2,1,2,0.5,\n")
-        report_path = tmp_path / "report.txt"
+        report_path = tmp_path / "report.json"
         code, out, _ = run_cli(
-            ["cutoff", "--trace", str(trace_path), "--report", str(report_path)]
+            ["cutoff", "--trace", str(trace_path), "--json", str(report_path)]
         )
         assert code == 0
         warning = "saliency histogram is degenerate (all values identical); predicting 0"
         assert stdout_value(out, "warning") == warning
         assert stdout_value(out, "wrote report") == str(report_path)
-        report = report_path.read_text().splitlines()
-        assert report[:2] == ["method: data-free", "predicted_count: 0"]
-        assert f"warning: {warning}" in report
-        assert "degenerate: true" in report
+        report = json.loads(report_path.read_text())
+        assert report["method"] == "data-free"
+        assert report["predicted_count"] == 0
+        assert report["warning"] == warning
+        assert report["evidence"]["degenerate"] is True
 
     def test_data_driven_requires_a_model(self, full_trace_file):
         assert usage_error(

@@ -23,7 +23,6 @@ from neuronprune import (
     data_driven_cutoff,
     data_free_cutoff,
     export_curve,
-    export_report,
     export_report_json,
     export_trace,
     forward_batch,
@@ -133,6 +132,20 @@ class TestStreamingLoad:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * p.stat().st_size
+
+    def test_each_layer_is_held_once(self, tmp_path):
+        # Rows are decoded straight into the matrix the layer keeps; stacking
+        # a list of parsed rows afterwards would hold every weight twice.
+        net = random_net(6, (256, 2048, 3), Activation.RELU)
+        p = tmp_path / "wide.model"
+        save_model(net, p)
+        tracemalloc.start()
+        try:
+            load_model(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * sum(layer.weights.nbytes for layer in net.layers)
 
     @pytest.mark.parametrize("damage", [None, "layer 1 identity 2 1"])
     def test_file_is_closed_when_the_load_returns_or_raises(self, tmp_path, monkeypatch, damage):
@@ -278,6 +291,15 @@ class TestModelErrors:
         q.write_text("")
         with pytest.raises(ModelFormatError):
             load_model(q)
+
+    @pytest.mark.parametrize("n_out", [10**11, 10**18])
+    def test_layer_too_large_to_hold_is_a_parse_error(self, tmp_path, n_out):
+        # The reader allocates each layer's matrix from its header; a width no
+        # file could back must still end in a path:line error, not a crash.
+        p = tmp_path / "huge.model"
+        p.write_text(GOLDEN_221_V2.replace("layer 0 relu 2 2", f"layer 0 relu 2 {n_out}"))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(p))}:\\d+: "):
+            load_model(p)
 
     def test_version_bump_is_a_distinct_error(self, tmp_path):
         p = tmp_path / "v9.model"
@@ -516,35 +538,49 @@ def small_full_trace():
     return PruneTrace(layer_index=0, n_original=7, steps=steps)
 
 
+def write_and_read_json(report, tmp_path):
+    p = tmp_path / "rep.json"
+    export_report_json(report, p)
+    return json.loads(p.read_text())
+
+
 class TestReports:
-    def test_histogram_report_text(self, tmp_path):
-        rep = data_free_cutoff(small_full_trace(), n_bins=5)
-        p = tmp_path / "rep.txt"
-        export_report(rep, p)
-        text = p.read_text()
-        assert "method: data-free" in text
-        assert f"predicted_count: {rep.predicted_count}" in text
-        assert "bin_edges:" in text
-        assert "mode_bin:" in text
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_sampled_report_text(self, tmp_path):
-        rep = data_driven_cutoff(
-            small_full_trace(), lambda s: 5.0 + (0.0 if s < 5 else 9.0), budget=5,
-            max_error_increase=1.0,
-        )
-        p = tmp_path / "rep.txt"
-        export_report(rep, p)
-        text = p.read_text()
-        assert "method: data-driven" in text
-        assert "sample:" in text
-
     def test_json_report_matches_fields(self, tmp_path):
         rep = data_free_cutoff(small_full_trace(), n_bins=5)
-        p = tmp_path / "rep.json"
-        export_report_json(rep, p)
-        payload = json.loads(p.read_text())
+        payload = write_and_read_json(rep, tmp_path)
         assert payload["method"] == CutoffMethod.DATA_FREE.value
         assert payload["predicted_count"] == rep.predicted_count
         assert payload["cutoff_saliency"] == rep.cutoff_saliency
         assert payload["warning"] is None
+        assert payload["evidence"] == {
+            "kind": "histogram",
+            "bin_edges": rep.evidence.bin_edges.tolist(),
+            "counts": rep.evidence.counts.tolist(),
+            "mode_bin": rep.evidence.mode_bin,
+            "degenerate": False,
+        }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sampled_report_lists_its_samples(self, tmp_path):
+        rep = data_driven_cutoff(
+            small_full_trace(), lambda s: 5.0 + (0.0 if s < 5 else 9.0), budget=5,
+            max_error_increase=1.0,
+        )
+        payload = write_and_read_json(rep, tmp_path)
+        assert payload["method"] == CutoffMethod.DATA_DRIVEN.value
+        assert payload["predicted_count"] == rep.predicted_count
+        assert payload["evidence"]["kind"] == "error-samples"
+        assert payload["evidence"]["samples"] == [[s, e] for s, e in rep.evidence]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rule", ["data-free", "data-driven"])
+    def test_json_report_keys_are_fixed(self, tmp_path, rule):
+        trace = small_full_trace()
+        if rule == "data-free":
+            rep = data_free_cutoff(trace, n_bins=5)
+        else:
+            rep = data_driven_cutoff(trace, lambda s: float(s), budget=3, max_error_increase=1.0)
+        payload = write_and_read_json(rep, tmp_path)
+        assert set(payload) == {
+            "method", "predicted_count", "cutoff_saliency", "warning", "evidence"
+        }

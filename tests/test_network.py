@@ -145,6 +145,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Network(layers=net.layers, input_dim=net.input_dim + 1)
 
+    def test_writable_inputs_and_views_are_copied(self):
+        rng = np.random.default_rng(4)
+        w, b = rng.normal(size=(3, 5)), rng.normal(size=3)
+        base = rng.normal(size=(3, 8))
+        view = base[:, :5]
+        view.setflags(write=False)
+        layers = [FcLayer(w, b, Activation.RELU), FcLayer(view, b, Activation.RELU)]
+        expected = [(w.copy(), b.copy()), (view.copy(), b.copy())]
+        w[0, 0] = base[0, 0] = b[0] = 99.0
+        for layer, (w_then, b_then) in zip(layers, expected):
+            assert not (layer.weights.flags.writeable or layer.bias.flags.writeable)
+            np.testing.assert_array_equal(layer.weights, w_then)
+            np.testing.assert_array_equal(layer.bias, b_then)
+
+    def test_read_only_float64_owner_is_kept(self):
+        w = np.full((3, 5), 0.5)
+        w.setflags(write=False)
+        assert FcLayer(w, np.zeros(3), Activation.RELU).weights is w
+        narrow = w.astype(np.float32)
+        narrow.setflags(write=False)
+        kept = FcLayer(narrow, np.zeros(3), Activation.RELU).weights
+        assert kept.dtype == np.float64 and kept is not narrow
+
     def test_output_dim(self):
         assert seeded_net(0, d_out=3).output_dim == 3
 

@@ -100,4 +100,6 @@ def test_experiment_cutoff_writes_trace_and_report(tmp_path):
         "experiment.py", "cutoff", "--seeds", "0", "--hidden", "6", "--epochs", "5",
         "--out-dir", tmp_path,
     )
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data_free_seed0.txt", "trace_seed0.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data_free_seed0.json", "trace_seed0.csv"]
+    report = json.loads((tmp_path / "data_free_seed0.json").read_text())
+    assert report["method"] == "data-free"
