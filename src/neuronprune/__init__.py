@@ -62,7 +62,6 @@ from .saliency import (
     heuristic_similarity,
     mean_outgoing_square,
     raw_difference,
-    similarity,
     verify_bound,
     verify_contraction,
 )
@@ -70,7 +69,6 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     compare_policies,
-    error_curve,
     evaluate,
     replay_error_oracle,
     trace_error_curve,
@@ -108,7 +106,6 @@ __all__ = [
     "data_driven_cutoff",
     "data_free_cutoff",
     "delete_neuron",
-    "error_curve",
     "evaluate",
     "export_curve",
     "export_report_json",
@@ -134,7 +131,6 @@ __all__ = [
     "replay_trace",
     "rescale_relu_layer",
     "save_model",
-    "similarity",
     "trace_error_curve",
     "train",
     "verify_bound",

@@ -190,7 +190,7 @@ def _cmd_prune(parser: argparse.ArgumentParser, args) -> int:
 def _cmd_cutoff(parser: argparse.ArgumentParser, args) -> int:
     trace = import_trace(args.trace, layer_index=args.layer_index)
     if args.method == "data-free":
-        report = data_free_cutoff(trace, n_bins=args.bins)
+        report = data_free_cutoff(trace)
     else:
         if args.model is None:
             parser.error("--method data-driven requires --model")
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cutoff.add_argument("--trace", required=True, help="trace CSV from a full prune-to-one run")
     p_cutoff.add_argument("--method", choices=["data-free", "data-driven"], default="data-free")
     p_cutoff.add_argument("--layer-index", type=int, default=0, help="layer the trace describes")
-    p_cutoff.add_argument("--bins", type=int, default=50, help="histogram bins (data-free)")
     p_cutoff.add_argument("--json", help="write the report as JSON")
     p_cutoff.add_argument("--model", help="model file (data-driven)")
     p_cutoff.add_argument("--budget", type=int, default=12, help="max oracle calls (data-driven)")

@@ -36,6 +36,9 @@ __all__ = [
     "data_driven_cutoff",
 ]
 
+# Equal-width bins of the data-free rule's histogram.
+_DATA_FREE_BINS = 50
+
 
 class CutoffMethod(Enum):
     DATA_FREE = "data-free"
@@ -73,10 +76,6 @@ class SaliencyHistogram:
         counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
 
     @property
     def mode_value(self) -> float:
@@ -131,12 +130,12 @@ def histogram(trace: PruneTrace, n_bins: int) -> SaliencyHistogram:
     )
 
 
-def data_free_cutoff(trace: PruneTrace, n_bins: int = 50) -> CutoffReport:
+def data_free_cutoff(trace: PruneTrace) -> CutoffReport:
     """Recommend a removal count from the saliency histogram alone.
 
-    The cutoff is the center of the histogram's mode bin; the prediction
-    is the number of steps with saliency <= cutoff, so an inf step never
-    counts.
+    The cutoff is the center of the 50-bin histogram's mode bin; the
+    prediction is the number of steps with saliency <= cutoff, so an inf
+    step never counts.
     Counting sub-cutoff steps, rather than taking the index of the last
     one, keeps the rule stable when the trace is locally non-monotone.
     Requires a full trace: a partial one would hide part of the spectrum
@@ -145,7 +144,7 @@ def data_free_cutoff(trace: PruneTrace, n_bins: int = 50) -> CutoffReport:
     """
     if not trace.is_full:
         raise ValueError("the data-free rule needs a trace pruned down to one neuron")
-    hist = histogram(trace, n_bins)
+    hist = histogram(trace, _DATA_FREE_BINS)
     cutoff = hist.mode_value
     if hist.degenerate:
         predicted = 0

@@ -172,14 +172,6 @@ class PruneTrace:
         steps = tuple(replace(s, kept=None) for s in self.steps)
         return replace(self, steps=steps, test_errors=None)
 
-    def with_test_errors(self, errors) -> "PruneTrace":
-        return PruneTrace(
-            layer_index=self.layer_index,
-            n_original=self.n_original,
-            steps=self.steps,
-            test_errors=tuple(float(e) for e in errors),
-        )
-
 
 def prune_one(
     net: Network, layer_index: int, matrix: SaliencyMatrix

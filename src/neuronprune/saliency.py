@@ -2,10 +2,10 @@
 
 The cost of removing neuron ``j`` in favor of keeping neuron ``i`` is
 
-    values[i, j] = mean_outgoing_square(j) * similarity(i, j)**2
+    values[i, j] = mean_outgoing_square(j) * s(i, j)**2
 
 where ``mean_outgoing_square(j)`` averages the squared outgoing weights of
-``j`` over all next-layer neurons, and ``similarity`` measures how far
+``j`` over all next-layer neurons, and the similarity ``s`` measures how far
 apart the two incoming weight-sets are. Low values mean the pair is safe
 to merge. Note the asymmetry: ``j`` is the candidate for removal, ``i``
 receives the surgery, and only ``j``'s outgoing weights enter the product.
@@ -23,8 +23,8 @@ Two similarity measures are provided:
   poor ranking. This measure is the default for pruning.
 
 One private scorer gives the exact similarity of any set of pairs, with
-the same operations as the scalar functions :func:`raw_difference`,
-:func:`heuristic_similarity` and :func:`similarity`, bit for bit.
+the same operations as the scalar functions :func:`raw_difference` and
+:func:`heuristic_similarity`, bit for bit.
 :func:`build_saliency_matrix` runs it on every pair and is the public
 exact reference. The loop behind ``pruning.prune_layer`` runs it only on
 the pairs that certified lower bounds from one Gram product cannot rule
@@ -65,7 +65,6 @@ __all__ = [
     "DIAGONAL_SENTINEL",
     "raw_difference",
     "heuristic_similarity",
-    "similarity",
     "mean_outgoing_square",
     "build_saliency_matrix",
     "verify_contraction",
@@ -120,14 +119,6 @@ def heuristic_similarity(wi: WeightSet, wj: WeightSet) -> float:
     )
     bias_term = abs(wi.bias - wj.bias) / max(abs(wi.bias + wj.bias), guard)
     return weight_term + bias_term
-
-
-def similarity(
-    wi: WeightSet, wj: WeightSet, mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC
-) -> float:
-    if mode is SimilarityMode.RAW_DIFFERENCE:
-        return raw_difference(wi, wj)
-    return heuristic_similarity(wi, wj)
 
 
 def mean_outgoing_square(next_layer: FcLayer, j: int) -> float:
@@ -330,7 +321,7 @@ def _one_pair(a, rows) -> bool:
 
 
 def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
-    """``score(a, b)``: :func:`similarity` of rows ``a`` and ``b``, pair by pair.
+    """``score(a, b)``: the similarity of rows ``a`` and ``b`` in ``mode``, pair by pair.
 
     ``a`` and ``b`` are row indices, index arrays or slices that broadcast
     together. Each pair takes one BLAS dot per difference, so a score does
@@ -356,7 +347,9 @@ def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
         return raw
     guard = _DENOMINATOR_FLOOR
     norms = np.sqrt(_squared_norms(w))
-    units = w / np.maximum(norms, guard)[:, None]
+    # One divisor per row, not an n x d copy of the unit rows: dividing only
+    # the rows a call touches rounds each element exactly as that copy did.
+    den = np.maximum(norms, guard)
     zero = (norms == 0.0) & (b == 0.0)
     if np.count_nonzero(zero) >= 2:
         warnings.warn(
@@ -370,12 +363,13 @@ def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
             r = rows[0]
             if zero[a] and zero[r]:
                 return np.zeros(1)
-            du, total = units[a] - units[r], w[a] + w[r]
+            du, total = w[a] / den[a] - w[r] / den[r], w[a] + w[r]
             # max() keeps a nan first argument, as np.maximum does.
             weight_term = math.sqrt(np.dot(du, du)) / max(math.sqrt(np.dot(total, total)), guard)
             bias_term = abs(b[a] - b[r]) / max(abs(b[a] + b[r]), guard)
             return np.array([weight_term + bias_term])
-        weight_term = np.sqrt(_squared_norms(units[a] - units[rows])) / np.maximum(
+        du = w[a] / den[a, None] - w[rows] / den[rows, None]
+        weight_term = np.sqrt(_squared_norms(du)) / np.maximum(
             np.sqrt(_squared_norms(w[a] + w[rows])), guard
         )
         bias_term = np.abs(b[a] - b[rows]) / np.maximum(np.abs(b[a] + b[rows]), guard)

@@ -38,7 +38,6 @@ __all__ = [
     "TrainingDiverged",
     "train",
     "evaluate",
-    "error_curve",
     "trace_error_curve",
     "replay_error_oracle",
     "compare_policies",
@@ -266,27 +265,6 @@ def replay_error_oracle(net: Network, trace: PruneTrace, ds: Dataset, split: str
     return oracle
 
 
-def error_curve(
-    net: Network,
-    layer_index: int,
-    ds: Dataset,
-    policy: PrunePolicy,
-    mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
-    split: str = "test",
-    eval_every: int = 1,
-) -> list[tuple[int, float]]:
-    """Prune a layer down to one neuron, measuring error along the way.
-
-    Runs the policy for its full course, then replays the recorded
-    removals one at a time, evaluating on the requested split. Returns
-    (step, error) pairs beginning with the unpruned baseline at step 0.
-    """
-    _check_prunable(net, layer_index)
-    count = net.layers[layer_index].n_out - 1
-    _, trace = prune_layer(net, layer_index, count, policy, mode)
-    return trace_error_curve(net, trace, ds, split, eval_every)
-
-
 def compare_policies(
     net: Network,
     layer_index: int,
@@ -296,7 +274,7 @@ def compare_policies(
     split: str = "test",
     eval_every: int = 1,
 ) -> tuple[dict, dict]:
-    """:func:`error_curve` for all four policies, keyed by :class:`PolicyKind`.
+    """:func:`trace_error_curve` of a prune to one neuron under each :class:`PolicyKind`.
 
     Returns ``(traces, curves)``; ``traces`` holds the three deterministic
     policies. No-surgery reuses the surgery trace with ``kept`` stripped,
@@ -323,12 +301,11 @@ def compare_policies(
         kind: trace_error_curve(net, trace, ds, split, eval_every)
         for kind, trace in traces.items()
     }
-    draws = [
-        error_curve(
-            net, layer_index, ds, PrunePolicy(PolicyKind.RANDOM, seed=seed), mode, split, eval_every
-        )
-        for seed in seeds
-    ]
+    draws = []
+    for seed in seeds:
+        policy = PrunePolicy(PolicyKind.RANDOM, seed=seed)
+        _, trace = prune_layer(net, layer_index, count, policy, mode)
+        draws.append(trace_error_curve(net, trace, ds, split, eval_every))
     mean_errors = np.mean([[e for _, e in draw] for draw in draws], axis=0)
     curves[PolicyKind.RANDOM] = [
         (step, float(e)) for (step, _), e in zip(draws[0], mean_errors)

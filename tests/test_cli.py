@@ -23,7 +23,7 @@ from neuronprune.model_io import import_trace, load_model, save_model
 from neuronprune.network import Activation, FcLayer, Network, layer_sizes, param_count
 from neuronprune.pruning import PolicyKind, PrunePolicy, prune_layer
 from neuronprune.saliency import SimilarityMode
-from neuronprune.training import TrainConfig, error_curve, evaluate, train
+from neuronprune.training import TrainConfig, evaluate, trace_error_curve, train
 
 # One small, cleanly separable synthetic problem shared by every test.
 DATA_ARGS = (
@@ -453,15 +453,15 @@ class TestCompare:
              "--seeds", "0", "--eval-every", "3", "--out-dir", str(out_dir)]
         )
         assert code == 0
-        expected = error_curve(
-            load_model(model_file),
+        net = load_model(model_file)
+        _, trace = prune_layer(
+            net,
             0,
-            cli_dataset(),
+            net.layers[0].n_out - 1,
             PrunePolicy(kind=PolicyKind.NAIVE_MAGNITUDE),
             SimilarityMode.NORMALIZED_HEURISTIC,
-            split="test",
-            eval_every=3,
         )
+        expected = trace_error_curve(net, trace, cli_dataset(), split="test", eval_every=3)
         lines = (out_dir / "curve_naive-magnitude.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         got = [(int(r[0]), float(r[1])) for r in rows]

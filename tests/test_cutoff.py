@@ -130,7 +130,7 @@ class TestDataFree:
         # 6 small saliencies clustered at 0.1, 3 large at 5.0; the mode bin
         # covers the cluster, so all 6 small steps fall under the cutoff.
         tr = trace_of([0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 5.0, 5.0, 5.0])
-        rep = data_free_cutoff(tr, n_bins=10)
+        rep = data_free_cutoff(tr)
         assert rep.predicted_count == 6
         assert rep.evidence.mode_bin == 0
 
@@ -138,14 +138,14 @@ class TestDataFree:
     def test_invariant_under_uniform_scaling(self, scale):
         rng = np.random.default_rng(7)
         base = np.concatenate([rng.normal(1.0, 0.1, 30), rng.uniform(4, 9, 10)])
-        a = data_free_cutoff(trace_of(base), n_bins=20)
-        b = data_free_cutoff(trace_of(scale * base), n_bins=20)
+        a = data_free_cutoff(trace_of(base))
+        b = data_free_cutoff(trace_of(scale * base))
         assert a.predicted_count == b.predicted_count
 
     def test_prediction_never_exceeds_trace_length(self):
         rng = np.random.default_rng(11)
         tr = trace_of(rng.normal(1.0, 0.01, 40))
-        rep = data_free_cutoff(tr, n_bins=5)
+        rep = data_free_cutoff(tr)
         assert rep.predicted_count <= len(tr)
 
 
@@ -290,7 +290,7 @@ class TestInfSaliencies:
         h = histogram(trace, 4)
         assert h.counts.sum() == 2
         np.testing.assert_array_equal(h.bin_edges, np.histogram(finite, bins=4)[1])
-        rep = data_free_cutoff(trace, n_bins=4)
+        rep = data_free_cutoff(trace)
         assert np.isfinite(rep.cutoff_saliency)
         assert rep.predicted_count == np.count_nonzero(finite <= rep.cutoff_saliency)
         assert rep.predicted_count <= 2  # an inf step never counts

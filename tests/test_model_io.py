@@ -458,7 +458,7 @@ class TestTraceCsv:
 
     def test_test_errors_round_trip(self, tmp_path):
         p = tmp_path / "t.csv"
-        tr = sample_trace().with_test_errors((3.25, 4.5, 11.0))
+        tr = PruneTrace(0, 6, sample_trace().steps, test_errors=(3.25, 4.5, 11.0))
         export_trace(tr, p)
         back = import_trace(p, n_original=6)
         assert back == tr
@@ -546,7 +546,7 @@ def write_and_read_json(report, tmp_path):
 
 class TestReports:
     def test_json_report_matches_fields(self, tmp_path):
-        rep = data_free_cutoff(small_full_trace(), n_bins=5)
+        rep = data_free_cutoff(small_full_trace())
         payload = write_and_read_json(rep, tmp_path)
         assert payload["method"] == CutoffMethod.DATA_FREE.value
         assert payload["predicted_count"] == rep.predicted_count
@@ -577,7 +577,7 @@ class TestReports:
     def test_json_report_keys_are_fixed(self, tmp_path, rule):
         trace = small_full_trace()
         if rule == "data-free":
-            rep = data_free_cutoff(trace, n_bins=5)
+            rep = data_free_cutoff(trace)
         else:
             rep = data_driven_cutoff(trace, lambda s: float(s), budget=3, max_error_increase=1.0)
         payload = write_and_read_json(rep, tmp_path)

@@ -28,7 +28,6 @@ from neuronprune import (
     prune_one,
     raw_difference,
     heuristic_similarity,
-    similarity,
     verify_bound,
     verify_contraction,
 )
@@ -117,12 +116,6 @@ class TestHeuristicSimilarity:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert heuristic_similarity(a, b) == heuristic_similarity(b, a)
 
-    def test_dispatcher_selects_mode(self):
-        a = WeightSet(np.array([1.0, 0.0]), 0.0)
-        b = WeightSet(np.array([0.0, 1.0]), 0.0)
-        assert similarity(a, b, RAW) == raw_difference(a, b)
-        assert similarity(a, b, HEUR) == heuristic_similarity(a, b)
-
 
 class TestDenominatorFloor:
     """Rows ``w`` and ``-w`` with biases 0.7 and -0.7 zero both heuristic denominators."""
@@ -199,24 +192,26 @@ class TestSaliencyMatrix:
         layer, nxt = seeded_pair_layer(2, n=6)
         for mode in (RAW, HEUR):
             m = build_saliency_matrix(layer, nxt, mode)
+            similarity = {RAW: raw_difference, HEUR: heuristic_similarity}[mode]
             for i in range(6):
                 for j in range(6):
                     if i == j:
                         assert m.values[i, j] == DIAGONAL_SENTINEL
                         continue
-                    sim = similarity(layer.weight_set(i), layer.weight_set(j), mode)
+                    sim = similarity(layer.weight_set(i), layer.weight_set(j))
                     want = mean_outgoing_square(nxt, j) * sim**2
                     assert m.values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     @staticmethod
     def assert_sim_sq_equals_scalar_reference(layer, nxt, mode):
         sets = [layer.weight_set(k) for k in range(layer.n_out)]
+        similarity = {RAW: raw_difference, HEUR: heuristic_similarity}[mode]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             m = build_saliency_matrix(layer, nxt, mode)
             for i, si in enumerate(sets):
                 for j, sj in enumerate(sets):
-                    s = 0.0 if i == j else similarity(si, sj, mode)
+                    s = 0.0 if i == j else similarity(si, sj)
                     # The build squares by multiplication, as s ** 2 (libm
                     # pow) can differ from s * s in the last bit.
                     assert m.sim_sq[i, j] == s * s, (i, j)
@@ -711,6 +706,20 @@ class TestStorage:
             tracemalloc.stop()
         assert m.sim_sq.shape == (n, n)
         assert peak - base < 1.5 * n * n * 8
+
+    def test_heuristic_scorer_holds_no_copy_of_the_layer(self):
+        w = np.random.default_rng(27).normal(size=(64, 4096))
+        layer = FcLayer(w, np.zeros(64), Activation.RELU)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            score = saliency._pair_scorer(layer, HEUR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < w.nbytes / 10
+        assert score(0, np.array([1])).shape == (1,)
 
     def test_prune_one_shares_sim_sq_with_its_input(self):
         layer, nxt = seeded_pair_layer(24, n=6)

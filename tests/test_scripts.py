@@ -63,6 +63,7 @@ def test_bench_model_io_round_trips_bit_exact(tmp_path):
     assert 17 * values <= record["file_bytes"] < 17 * values + 200
     assert record["save_s"] > 0 and record["load_s"] > 0
     assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
+    assert record["load_maxrss_mb"] > 0  # the peak of the process that ran the load
     assert list(tmp_path.iterdir()) == []  # the model file is cleaned up
 
 

@@ -13,7 +13,6 @@ from neuronprune import (
     PrunePolicy,
     TrainConfig,
     TrainingDiverged,
-    error_curve,
     evaluate,
     forward_batch,
     make_blobs,
@@ -328,16 +327,10 @@ class TestErrorCurves:
             input_dim=6,
         )
         ds = make_blobs(n_samples=300, n_features=6, seed=16)
-        curve = error_curve(net, 0, ds, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        _, trace = prune_layer(net, 0, 4, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
+        curve = trace_error_curve(net, trace, ds)
         errors = {err for _, err in curve}
         assert len(errors) == 1
-
-    def test_error_curve_composes_prune_and_replay(self):
-        ds = make_blobs(n_samples=400, n_features=6, seed=17)
-        net = train(ds, TrainConfig(hidden_units=6, epochs=5, seed=17))
-        direct = error_curve(net, 0, ds, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
-        _, trace = prune_layer(net, 0, 5, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
-        assert direct == trace_error_curve(net, trace, ds)
 
     def test_compare_policies_matches_error_curve_per_policy(self):
         ds = make_blobs(n_samples=400, n_features=6, n_classes=3, seed=20)
@@ -345,14 +338,13 @@ class TestErrorCurves:
         traces, curves = npr.compare_policies(net, 0, ds, (4, 9), eval_every=2)
         assert list(curves) == list(PolicyKind)
         assert list(traces) == list(PolicyKind)[:3]
+        def curve(policy):
+            return trace_error_curve(net, prune_layer(net, 0, 6, policy)[1], ds, eval_every=2)
+
         for kind in list(PolicyKind)[:3]:
-            expected = error_curve(net, 0, ds, PrunePolicy(kind), eval_every=2)
-            assert curves[kind] == expected
+            assert curves[kind] == curve(PrunePolicy(kind))
             assert traces[kind] == prune_layer(net, 0, 6, PrunePolicy(kind))[1]
-        draws = [
-            error_curve(net, 0, ds, PrunePolicy(PolicyKind.RANDOM, seed=s), eval_every=2)
-            for s in (4, 9)
-        ]
+        draws = [curve(PrunePolicy(PolicyKind.RANDOM, seed=s)) for s in (4, 9)]
         assert curves[PolicyKind.RANDOM] == [
             (step, (a + b) / 2) for (step, a), (_, b) in zip(*draws)
         ]
