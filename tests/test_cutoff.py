@@ -142,6 +142,16 @@ class TestDataFree:
         b = data_free_cutoff(trace_of(scale * base))
         assert a.predicted_count == b.predicted_count
 
+    def test_bins_the_trace_in_fifty(self):
+        rng = np.random.default_rng(12)
+        tr = trace_of(np.concatenate([rng.normal(1.0, 0.05, 60), rng.uniform(3, 8, 20)]))
+        rep = data_free_cutoff(tr)
+        want = histogram(tr, 50)
+        assert len(rep.evidence.counts) == 50
+        np.testing.assert_array_equal(rep.evidence.bin_edges, want.bin_edges)
+        np.testing.assert_array_equal(rep.evidence.counts, want.counts)
+        assert rep.cutoff_saliency == want.mode_value
+
     def test_prediction_never_exceeds_trace_length(self):
         rng = np.random.default_rng(11)
         tr = trace_of(rng.normal(1.0, 0.01, 40))

@@ -1,5 +1,6 @@
 """Pair similarity, the removal-cost matrix, and its two numerical checks."""
 
+import math
 import time
 import tracemalloc
 import warnings
@@ -528,6 +529,32 @@ class TestOnePairScorer:
         rng = np.random.default_rng(52)
         b = rng.normal(size=200) * 10.0 ** rng.uniform(-3, 3, 200)
         self.assert_one_pair_equals_the_batch(rng.normal(size=(200, 1)), b, mode)
+
+    def test_heuristic_scores_equal_a_unit_row_copy(self):
+        # The scorer divides rows as it reads them; a precomputed n x d copy
+        # of the unit rows must give every score the same bits.
+        rng = np.random.default_rng(53)
+        w = rng.normal(size=(12, 9)) * 10.0 ** rng.uniform(-3, 3, (12, 1))
+        b = rng.normal(size=12)
+        w[[3, 7]] = 0.0
+        b[7] = 0.0
+        guard = saliency._DENOMINATOR_FLOOR
+        sq = saliency._squared_norms
+        units = w / np.maximum(np.sqrt(sq(w)), guard)[:, None]
+        score = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), HEUR)
+        rows = np.arange(12)
+        for a in range(12):
+            du = units[a] - units
+            weight_term = np.sqrt(sq(du)) / np.maximum(np.sqrt(sq(w[a] + w)), guard)
+            want = weight_term + np.abs(b[a] - b) / np.maximum(np.abs(b[a] + b), guard)
+            got = score(np.full(12, a), rows)
+            assert got.tobytes() == want.tobytes(), a
+            for r in range(12):
+                d = units[a] - units[r]
+                t = w[a] + w[r]
+                one = math.sqrt(np.dot(d, d)) / max(math.sqrt(np.dot(t, t)), guard)
+                one += abs(b[a] - b[r]) / max(abs(b[a] + b[r]), guard)
+                assert score(a, np.array([r]))[0] == one, (a, r)
 
     @staticmethod
     def assert_one_pair_equals_the_batch(w, b, mode):
