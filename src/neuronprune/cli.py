@@ -33,6 +33,7 @@ from .network import Activation, param_count
 from .pruning import (
     PolicyKind,
     PrunePolicy,
+    _check_prunable,
     compression_percent,
     prune_network,
 )
@@ -188,15 +189,20 @@ def _cmd_prune(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_cutoff(parser: argparse.ArgumentParser, args) -> int:
-    trace = import_trace(args.trace, layer_index=args.layer_index)
-    if args.method == "data-free":
-        report = data_free_cutoff(trace)
-    else:
+    if args.method == "data-driven":
         if args.model is None:
             parser.error("--method data-driven requires --model")
         if args.data is None and not args.synthetic:
             parser.error("--method data-driven requires a dataset (--data or --synthetic)")
+    n_original = None
+    if args.model is not None:
         net = load_model(args.model)
+        _check_prunable(net, args.layer_index)
+        n_original = net.layers[args.layer_index].n_out
+    trace = import_trace(args.trace, layer_index=args.layer_index, n_original=n_original)
+    if args.method == "data-free":
+        report = data_free_cutoff(trace)
+    else:
         ds = _load_dataset(args)
         oracle = replay_error_oracle(net, trace, ds, args.split)
         report = data_driven_cutoff(
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cutoff.add_argument("--method", choices=["data-free", "data-driven"], default="data-free")
     p_cutoff.add_argument("--layer-index", type=int, default=0, help="layer the trace describes")
     p_cutoff.add_argument("--json", help="write the report as JSON")
-    p_cutoff.add_argument("--model", help="model file (data-driven)")
+    p_cutoff.add_argument("--model", help="model file (data-driven); sets the layer's width")
     p_cutoff.add_argument("--budget", type=int, default=12, help="max oracle calls (data-driven)")
     p_cutoff.add_argument(
         "--max-error-increase",

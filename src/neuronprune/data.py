@@ -9,6 +9,7 @@ dozen features, two classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,41 +160,32 @@ def _numbered_lines(path, encoding: str = "ascii", error=ValueError):
                 yield line_number, line
 
 
-def _data_rows(path, has_header: bool):
-    """``(line_number, fields)`` for each row ``np.loadtxt`` reads, in order.
+def _bad_row(path, has_header: bool) -> str | None:
+    """``path:line: problem`` for the first row ``load_csv`` refuses, or None.
 
-    Lines count from 1 and include the header. Blank lines and ``#``
-    comments are skipped, as ``np.loadtxt`` skips them.
+    Rows are taken as ``np.loadtxt`` takes them: line 1 is skipped under
+    ``has_header``, ``#`` comments and blank lines are skipped, and
+    fields split at commas.
     """
-    with open(path) as fh:
-        for line_number, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if (has_header and line_number == 1) or not text:
-                continue
-            yield line_number, text.split(",")
-
-
-def _first_bad_line(path, has_header: bool) -> str | None:
-    """``path:line: problem`` for the first row ``np.loadtxt`` cannot read, or None."""
     width = None
-    for line_number, fields in _data_rows(path, has_header):
+    for line_number, line in _numbered_lines(path, "utf-8"):
+        text = line.split("#", 1)[0].strip()
+        if (has_header and line_number == 1) or not text:
+            continue
+        fields = text.split(",")
         if width is None:
             width = len(fields)
         if len(fields) != width:
             return f"{path}:{line_number}: expected {width} columns, found {len(fields)}"
         for column, field in enumerate(fields, start=1):
             try:
-                float(field)
+                value = float(field.replace("_", "x"))  # np.loadtxt takes no digit separators
             except ValueError:
                 return f"{path}:{line_number}: column {column} is not a number: {field!r}"
-    return None
-
-
-def _bad_label_line(path, has_header: bool, row: int) -> str | None:
-    """``path:line: problem`` for data row ``row`` (from 0), whose label is no class index."""
-    for k, (line_number, fields) in enumerate(_data_rows(path, has_header)):
-        if k == row:
-            label = fields[-1].strip()
+            if column < width and not math.isfinite(value):
+                return f"{path}:{line_number}: features must be finite (no missing values)"
+        if not (value.is_integer() and 0 <= value < 2**63):
+            label = field.strip()
             return f"{path}:{line_number}: label must be a nonnegative integer, found {label!r}"
     return None
 
@@ -204,7 +196,12 @@ def load_csv(
     seed: int = 0,
     standardize: bool = True,
 ) -> Dataset:
-    """Load a samples-by-rows CSV: feature columns first, integer label last.
+    """Load a UTF-8, samples-by-rows CSV: feature columns first, integer label last.
+
+    Blank lines and ``#`` comments are skipped. A row with the wrong
+    column count, a cell that is not a number, a feature that is not
+    finite, a label that is no nonnegative integer or a byte that is not
+    UTF-8 fails as ``path:line: problem``.
 
     Splits are assigned by a seeded permutation. When ``standardize`` is
     set, features are shifted and scaled to zero mean and unit variance
@@ -212,32 +209,26 @@ def load_csv(
     from validation or test rows into preprocessing.
     """
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
-    except UnicodeDecodeError as exc:
-        for _ in _numbered_lines(path, exc.encoding):
-            pass  # raises at the first undecodable byte's line
-        raise ValueError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(_first_bad_line(path, has_header) or f"{path}: {exc}") from None
-    if raw.shape[1] < 2:
-        raise ValueError(f"{path}: need at least one feature column and a label column")
-    features = raw[:, :-1]
-    labels_raw = raw[:, -1]
-    with np.errstate(invalid="ignore"):
-        labels = labels_raw.astype(np.int64)
-    bad = np.flatnonzero((labels != labels_raw) | (labels_raw < 0))
-    if bad.size:
-        raise ValueError(
-            _bad_label_line(path, has_header, int(bad[0]))
-            or f"{path}: label must be a nonnegative integer"
+        raw = np.loadtxt(
+            path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2, encoding="utf-8"
         )
+        labels = raw[:, -1]
+        if raw.shape[1] < 2 or not (
+            np.isfinite(raw[:, :-1]).all()
+            and ((labels >= 0) & (labels < 2**63) & (labels == np.floor(labels))).all()
+        ):
+            raise ValueError("need rows of finite features and a nonnegative integer label")
+    except ValueError as exc:  # a UnicodeDecodeError is a ValueError too
+        raise ValueError(_bad_row(path, has_header) or f"{path}: {exc}") from None
+    features, labels = raw[:, :-1], labels.astype(np.int64)
     rng = np.random.default_rng(seed)
     try:
         train_idx, val_idx, test_idx = _split_indices(len(labels), rng)
         if standardize:
-            mean = features[train_idx].mean(axis=0)
-            std = features[train_idx].std(axis=0)
-            features = (features - mean) / np.maximum(std, 1e-12)
+            with np.errstate(over="raise"):
+                mean = features[train_idx].mean(axis=0)
+                std = features[train_idx].std(axis=0)
+                features = (features - mean) / np.maximum(std, 1e-12)
         return Dataset(
             features=features,
             labels=labels,
@@ -245,5 +236,5 @@ def load_csv(
             val_idx=val_idx,
             test_idx=test_idx,
         )
-    except ValueError as exc:  # too few rows, or a feature that is not finite
+    except (ValueError, FloatingPointError) as exc:  # too few rows, or features too large to scale
         raise ValueError(f"{path}: {exc}") from None

@@ -114,6 +114,26 @@ def record_scored_pairs(monkeypatch):
     return scored
 
 
+def six_near_copies_network() -> npr.Network:
+    """A 20-wide sigmoid layer whose neurons 0-5 are near-copies and the rest far apart.
+
+    A few merges only pair neurons 0-5, so a trace of 5 steps reads as a
+    full prune-to-one of a 6-wide layer unless its width is given.
+    """
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(20, 8)) * 10.0
+    w[:6] = w[0] + 1e-3 * rng.normal(size=(6, 8))
+    b = rng.normal(size=20)
+    b[:6] = b[0]
+    return npr.Network(
+        layers=(
+            npr.FcLayer(w, b, npr.Activation.SIGMOID),
+            npr.FcLayer(rng.normal(size=(3, 20)), rng.normal(size=3), npr.Activation.IDENTITY),
+        ),
+        input_dim=8,
+    )
+
+
 def mutate(text: bytes, kind: str, at: int, flip: int) -> bytes:
     """One damaged copy of a file: cut, one byte flipped, or one line dropped or repeated.
 

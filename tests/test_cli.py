@@ -25,6 +25,8 @@ from neuronprune.pruning import PolicyKind, PrunePolicy, prune_layer
 from neuronprune.saliency import SimilarityMode
 from neuronprune.training import TrainConfig, evaluate, trace_error_curve, train
 
+from conftest import six_near_copies_network
+
 # One small, cleanly separable synthetic problem shared by every test.
 DATA_ARGS = (
     "--synthetic",
@@ -338,6 +340,23 @@ class TestCutoff:
         assert code == 1
         assert err.strip() == "error: batch must have shape (n, 8)"
 
+    @pytest.mark.parametrize("method", ["data-free", "data-driven"])
+    def test_the_model_width_refuses_a_partial_trace(self, tmp_path, method):
+        model_path, trace_path = tmp_path / "wide.txt", tmp_path / "partial.csv"
+        save_model(six_near_copies_network(), model_path)
+        code, _, err = run_cli(
+            ["prune", "--model", str(model_path), "--out", str(tmp_path / "pruned.txt"),
+             "--layer", "0:5", "--mode", "raw", "--trace", str(trace_path)]
+        )
+        assert code == 0, err
+        assert all(s.removed < 6 and s.kept < 6 for s in import_trace(trace_path).steps)
+        code, _, err = run_cli(
+            ["cutoff", "--trace", str(trace_path), "--method", method,
+             "--model", str(model_path), *DATA_ARGS]
+        )
+        assert code == 1
+        assert err.strip() == f"error: the {method} rule needs a trace pruned down to one neuron"
+
     def test_unparsable_test_error_names_the_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("step,kept,removed,saliency,test_error\n1,1,0,0.5,abc\n")
@@ -408,13 +427,17 @@ class TestEval:
         assert code == 1
         assert err.strip() == f"error: {bad}:3: byte 0xff is not utf-8 text"
 
-    @pytest.mark.parametrize("label", ["0.5", "-1"])
-    def test_bad_label_names_the_line(self, model_file, tmp_path, label):
+    @pytest.mark.parametrize("row, problem", [
+        ("1,2,3,4,5,6,7,8,0.5", "label must be a nonnegative integer, found '0.5'"),
+        ("1,2,3,4,5,6,7,8,-1", "label must be a nonnegative integer, found '-1'"),
+        ("1,2,3,nan,5,6,7,8,1", "features must be finite (no missing values)"),
+    ])
+    def test_bad_label_names_the_line(self, model_file, tmp_path, row, problem):
         bad = tmp_path / "lab.csv"
-        bad.write_text(f"1,2,3,4,5,6,7,8,0\n\n1,2,3,4,5,6,7,8,{label}\n")
+        bad.write_text(f"1,2,3,4,5,6,7,8,0\n\n{row}\n" + "1,2,3,4,5,6,7,8,1\n" * 9)
         code, _, err = run_cli(["eval", "--model", str(model_file), "--data", str(bad)])
         assert code == 1
-        assert f"{bad}:3: label must be a nonnegative integer, found '{label}'" in err
+        assert f"{bad}:3: {problem}" in err
 
 
 class TestCompare:

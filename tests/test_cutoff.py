@@ -30,6 +30,8 @@ from neuronprune import (
 )
 from neuronprune.cutoff import _slope_mass
 
+from conftest import six_near_copies_network
+
 
 def trace_of(saliencies, full=True):
     """Wrap a saliency sequence in a trace; ``full`` makes it a prune-to-one run."""
@@ -96,21 +98,7 @@ class TestDataFree:
         reason="a trace CSV does not record the layer width, so import_trace infers it",
     )
     def test_reimported_partial_trace_is_refused(self, tmp_path):
-        # Neurons 0-5 of a 20-wide layer are near-copies and the rest are far
-        # apart, so 5 steps only merge among 0-5. Re-imported without its
-        # width, the trace reads as a full prune-to-one of a 6-wide layer.
-        rng = np.random.default_rng(3)
-        w = rng.normal(size=(20, 8)) * 10.0
-        w[:6] = w[0] + 1e-3 * rng.normal(size=(6, 8))
-        b = rng.normal(size=20)
-        b[:6] = b[0]
-        net = Network(
-            layers=(
-                FcLayer(w, b, Activation.SIGMOID),
-                FcLayer(rng.normal(size=(3, 20)), rng.normal(size=3), Activation.IDENTITY),
-            ),
-            input_dim=8,
-        )
+        net = six_near_copies_network()
         _, trace = prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
         assert all(s.removed < 6 and s.kept < 6 for s in trace.steps)
         path = tmp_path / "partial.csv"

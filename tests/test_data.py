@@ -142,14 +142,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             load_csv(p)
 
+    @pytest.mark.parametrize("standardize", [True, False])
     @pytest.mark.parametrize("has_header", [False, True])
-    def test_unparsable_cell_names_its_line(self, tmp_path, has_header):
+    @pytest.mark.parametrize("cell, problem", [
+        ("abc", "column 2 is not a number: 'abc'"),
+        ("1_0", "column 2 is not a number: '1_0'"),
+        ("inf", "features must be finite (no missing values)"),
+        ("-inf", "features must be finite (no missing values)"),
+        ("nan", "features must be finite (no missing values)"),
+    ])
+    def test_unparsable_cell_names_its_line(
+        self, tmp_path, has_header, standardize, cell, problem
+    ):
         p = tmp_path / "bad.csv"
         header = "f0,f1,label\n" if has_header else ""
-        p.write_text(header + "1.0,2.0,0\n3.0,abc,1\n")
-        line = 3 if has_header else 2
-        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: column 2 .*'abc'"):
-            load_csv(p, has_header=has_header)
+        p.write_text(header + "# note\n\n1.0,2.0,0\n3.0," + cell + ",1\n" + "2.0,1.0,1\n" * 9)
+        line = 5 if has_header else 4
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:{line}: {problem}')}$"):
+            load_csv(p, has_header=has_header, standardize=standardize)
 
     @pytest.mark.parametrize("has_header", [False, True])
     def test_ragged_row_names_its_line(self, tmp_path, has_header):
@@ -173,7 +183,8 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("rows, problem", [
         (["1.0,2.0,0", "2.0,1.0,1"], "dataset too small for the requested split"),
-        (["1.0,inf,0"] + ["2.0,1.0,1"] * 9, "features must be finite"),
+        (["1.5e308,1.0,0", "1.5e308,2.0,1"] * 5, "overflow encountered"),
+        (["0", "1"] * 5, "need rows of finite features and a nonnegative integer label"),
     ])
     def test_file_level_problems_name_the_path(self, tmp_path, rows, problem):
         p = tmp_path / "short.csv"
