@@ -15,10 +15,12 @@ the fields of its subcommand:
   layer (see :func:`near_twin_net`) and prunes it to one neuron with the
   saliency-surgery policy. ``prune_s`` is the wall time of
   ``prune_layer``, of which ``bound_build_s`` built the certified lower
-  bounds; ``pairs_scored`` counts the pairs scored exactly, against
-  ``all_pairs`` = n(n-1)/2, by wrapping the private pair scorer from
-  here. Building the layer briefly holds two copies of its weights, so
-  at fan-in 9216 the set-up can set the peak.
+  bounds and ``first_scan_s`` found every column's first exact minimum;
+  ``rescans`` counts the one-column rescans, the first scan's included,
+  and ``pairs_scored`` the pairs scored exactly, against ``all_pairs`` =
+  n(n-1)/2. All four come from wrapping private saliency names here.
+  Building the layer briefly holds two copies of its weights, so at
+  fan-in 9216 the set-up can set the peak.
 * ``model-io`` saves the same kind of network with ``save_model`` and
   loads it back with ``load_model`` in a process started before the
   build, so the build and save do not set the load's peak: ``save_s``,
@@ -144,8 +146,10 @@ def near_twin_net(seed, width, fan_in, n_out=10, copies=16):
 
 def prune_case(args, width, fan_in, mode):
     net = near_twin_net(args.seed, width, fan_in)
-    counts = {"pairs": 0, "bound_s": 0.0}
+    counts = {"pairs": 0, "bound_s": 0.0, "first_scan_s": 0.0, "rescans": 0}
     scorer, bounds = saliency._pair_scorer, saliency._sim_sq_lower_bounds
+    costs = saliency._CertifiedCosts
+    first_scan, rescan = costs.column_minima, costs.column_minimum
 
     def counting_scorer(layer, mode):
         score = scorer(layer, mode)
@@ -163,8 +167,19 @@ def prune_case(args, width, fan_in, mode):
         counts["bound_s"] += time.perf_counter() - start
         return out
 
+    def timed_first_scan(self, *args):
+        start = time.perf_counter()
+        out = first_scan(self, *args)
+        counts["first_scan_s"] += time.perf_counter() - start
+        return out
+
+    def counted_rescan(self, *args):
+        counts["rescans"] += 1
+        return rescan(self, *args)
+
     saliency._pair_scorer = counting_scorer
     saliency._sim_sq_lower_bounds = timed_bounds
+    costs.column_minima, costs.column_minimum = timed_first_scan, counted_rescan
     policy = npr.PrunePolicy(npr.PolicyKind.SALIENCY_SURGERY)
     setup_maxrss = maxrss_mb()
     start = time.perf_counter()
@@ -174,6 +189,8 @@ def prune_case(args, width, fan_in, mode):
     return {
         "prune_s": round(prune_s, 4),
         "bound_build_s": round(counts["bound_s"], 4),
+        "first_scan_s": round(counts["first_scan_s"], 4),
+        "rescans": counts["rescans"],
         "pairs_scored": counts["pairs"],
         "all_pairs": width * (width - 1) // 2,
         "setup_maxrss_mb": setup_maxrss,

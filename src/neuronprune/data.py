@@ -10,6 +10,7 @@ dozen features, two classes.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,24 +135,25 @@ def make_blobs(
     )
 
 
-def _numbered_lines(path, encoding: str = "ascii", error=ValueError):
+def _numbered_lines(path, encoding: str = "ascii", error=ValueError, split=str.splitlines):
     """``(line_number, line)`` for each line of ``path``, read one line at a time.
 
-    Lines are split and numbered from 1 as ``str.splitlines`` does on the
-    whole text: each chunk read ends at a ``\\n`` byte, which no other
-    ASCII or UTF-8 character contains and which ends any ``\\r\\n``, so no
-    character or separator spans two chunks. A byte ``encoding`` cannot
-    decode raises ``error`` at ``path:line``.
+    Lines are split by ``split`` and numbered from 1 as it numbers them on
+    the whole text, ``str.splitlines`` unless given: each chunk read ends
+    at a ``\\n`` byte, which no other ASCII or UTF-8 character contains and
+    which ends any ``\\r\\n``, so no character or separator spans two
+    chunks. A byte ``encoding`` cannot decode raises ``error`` at
+    ``path:line``.
     """
     line_number = 0
     with open(path, "rb") as fh:
         for chunk in fh:
             try:
-                lines = chunk.decode(encoding).splitlines()
+                lines = split(chunk.decode(encoding))
             except UnicodeDecodeError as exc:
                 # the bad byte's line is the last one of the text before it plus one character
                 before = chunk[: exc.start].decode(encoding)
-                line_number += len((before + "?").splitlines())
+                line_number += len(split(before + "?"))
                 raise error(
                     f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
                 ) from None
@@ -160,17 +162,36 @@ def _numbered_lines(path, encoding: str = "ascii", error=ValueError):
                 yield line_number, line
 
 
+def _loadtxt_lines(text: str) -> list[str]:
+    """``text`` split where ``np.loadtxt`` ends a line: at ``\\n``, ``\\r\\n`` or ``\\r`` only."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _rows(path, has_header: bool):
+    """``(line_number, text)`` of each line ``np.loadtxt`` reads as a row.
+
+    Line 1 is skipped under ``has_header``, ``#`` comments are cut, and
+    lines left empty are skipped.
+    """
+    for line_number, line in _numbered_lines(path, "utf-8", split=_loadtxt_lines):
+        text = line.split("#", 1)[0]
+        if text and not (has_header and line_number == 1):
+            yield line_number, text
+
+
 def _bad_row(path, has_header: bool) -> str | None:
     """``path:line: problem`` for the first row ``load_csv`` refuses, or None.
 
-    Rows are taken as ``np.loadtxt`` takes them: line 1 is skipped under
-    ``has_header``, ``#`` comments and blank lines are skipped, and
-    fields split at commas.
+    Rows are taken as :func:`_rows` gives them, less those of only
+    whitespace, and fields split at commas.
     """
     width = None
-    for line_number, line in _numbered_lines(path, "utf-8"):
-        text = line.split("#", 1)[0].strip()
-        if (has_header and line_number == 1) or not text:
+    for line_number, text in _rows(path, has_header):
+        text = text.strip()
+        if not text:
             continue
         fields = text.split(",")
         if width is None:
@@ -198,16 +219,21 @@ def load_csv(
 ) -> Dataset:
     """Load a UTF-8, samples-by-rows CSV: feature columns first, integer label last.
 
-    Blank lines and ``#`` comments are skipped. A row with the wrong
-    column count, a cell that is not a number, a feature that is not
-    finite, a label that is no nonnegative integer or a byte that is not
-    UTF-8 fails as ``path:line: problem``.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Blank lines and ``#``
+    comments are skipped, and a file with no other row fails as ``path:
+    no data rows``. A row with the wrong column count, a cell that is not
+    a number, a feature that is not finite, a label that is no
+    nonnegative integer or a byte that is not UTF-8 fails as
+    ``path:line: problem``.
 
     Splits are assigned by a seeded permutation. When ``standardize`` is
     set, features are shifted and scaled to zero mean and unit variance
     using statistics of the train split only, so no information leaks
     from validation or test rows into preprocessing.
     """
+    with closing(_rows(path, has_header)) as rows:
+        if next(rows, None) is None:  # np.loadtxt would warn, then return no rows
+            raise ValueError(f"{path}: no data rows")
     try:
         raw = np.loadtxt(
             path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2, encoding="utf-8"

@@ -4,8 +4,9 @@ Each step removes the neuron ``j`` whose removal cost ``values[i, j]`` is
 the smallest live off-diagonal entry, folding its outgoing coefficients
 into neuron ``i``. :func:`prune_one` is the reference step on an
 immutable :class:`SaliencyMatrix` and ``Network``. The loop behind
-:func:`prune_layer` makes the same choices, through the same cost and
-tie-break helpers, in O(n^2) total work, from state private to one call:
+:func:`prune_layer` makes the same choices, through the same cost
+helpers and tie-break rule, in O(n^2) total work, from state private to
+one call:
 
 * one Gram product gives a certified lower bound on every squared
   similarity, and a pair is scored exactly only when its bound could
@@ -16,10 +17,12 @@ tie-break helpers, in O(n^2) total work, from state private to one call:
   column of costs moves;
 * each column caches its exact minimum and the row that holds it, so a
   step takes the first column with the smallest cached minimum and
-  rescans, one at a time from one row of costs, only the kept neuron's
-  column and the columns whose minimum sat in the removed row. The first
-  scan runs the same rescan, after scoring every column's cheapest bound
-  in one batch, on the columns that batch leaves unsettled;
+  rescans, one at a time, only the kept neuron's column and the columns
+  whose minimum sat in the removed row. A rescan writes its row of costs
+  into one buffer that every rescan reuses, and reads the dead rows from
+  the live mask. The first scan reads the bounds in contiguous blocks of
+  rows, all into one buffer, scores every column's cheapest bound in one
+  batch, and runs the rescan on the columns that batch leaves unsettled;
 * removals are recorded on a live mask and one copy of the next layer's
   weights, and the pruned ``Network`` is materialized once, at the end.
   :func:`replay_trace` replays a trace on the same state.
@@ -56,7 +59,7 @@ import numpy as np
 
 from .network import FcLayer, Network, merge_neurons
 from .saliency import SaliencyMatrix, SimilarityMode, mean_outgoing_square
-from .saliency import _cheapest, _cost_columns, _CertifiedCosts, _mean_outgoing_squares
+from .saliency import _cost_columns, _CertifiedCosts, _mean_outgoing_squares
 
 __all__ = [
     "PolicyKind",
@@ -277,19 +280,25 @@ def _run_saliency(
     live, weights = state.live, state.next_weights
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = costs.column_minima(msq, live)
-    steps = []
+    rescan, steps = costs.column_minimum, []
     for step_number in range(1, count + 1):
-        i, j = _cheapest(best_row, best, live)
-        step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
-        steps.append(step)
-        state.apply(step)
-        best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
+        # _cheapest, inlined: a dead column holds inf, so it comes first only
+        # when every live minimum is inf as well.
+        j = int(best.argmin())
+        if not live[j]:
+            j = int(live.argmax())
+        i = int(best_row[j])
+        steps.append(PruneStep(step_number, j, float(best[j]), i))
+        # _EditState.apply, inlined: the loop only merges live pairs.
         column = weights[:, i]
+        column += weights[:, j]
+        live[j] = False
+        best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
         msq[i] = np.add.reduce(column * column) / column.size  # np.mean's sum and divide
         # The kept column's factor moved; other columns lose a minimum held in row j.
-        stale = (best_row == j).nonzero()[0]
-        for c in (i, *stale[stale != i].tolist()):
-            best_row[c], best[c] = costs.column_minimum(msq, live, c)
+        best_row[i], best[i] = rescan(msq, live, i)
+        for c in (best_row == j).nonzero()[0].tolist():
+            best_row[c], best[c] = rescan(msq, live, c)
     return state.network(), steps
 
 

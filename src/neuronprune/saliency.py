@@ -246,11 +246,23 @@ def build_saliency_matrix(
 _BLOCK_BYTES = 4 << 20
 
 
-def _cost_columns(sim_sq, msq, live, columns) -> np.ndarray:
-    """Row ``k``: cost column ``columns[k]``, with dead rows and the diagonal at the sentinel."""
-    # Column c of sim_sq is read as row c, since the build makes it exactly symmetric.
-    costs = np.where(live, sim_sq[columns] * msq[columns, None], DIAGONAL_SENTINEL)
-    costs[np.arange(columns.size), columns] = DIAGONAL_SENTINEL
+def _cost_columns(sim_sq, msq, live, columns, out=None) -> np.ndarray:
+    """Row ``k``: cost column ``columns[k]``, with dead rows and the diagonal at the sentinel.
+
+    Column c of sim_sq is read as row c, since the build makes it exactly
+    symmetric; a run of consecutive columns is one block of rows, read
+    without a copy. The costs go to ``out`` when it is given.
+    """
+    k = columns.size
+    if k and (np.diff(columns) == 1).all():
+        lo = int(columns[0])
+        costs = np.multiply(sim_sq[lo : lo + k], msq[lo : lo + k, None], out=out)
+    else:
+        costs = np.take(sim_sq, columns, axis=0, out=out)
+        costs *= msq[columns, None]
+    if not live.all():
+        costs[:, ~live] = DIAGONAL_SENTINEL
+    costs[np.arange(k), columns] = DIAGONAL_SENTINEL
     return costs
 
 
@@ -284,16 +296,29 @@ def _live_rows(costs, live, columns) -> np.ndarray:
     return rows
 
 
-def _column_minima(sim_sq, msq, live, columns) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the first live row holding its smallest cost, and that cost, in blocks."""
+def _column_minima(sim_sq, msq, live, columns, runner_up=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the first live row holding its smallest cost, and that cost.
+
+    The columns are scanned in blocks of about ``_BLOCK_BYTES``, all
+    written to one buffer. ``runner_up``, a pair of arrays, receives each
+    column's first row of its smallest cost elsewhere, dead rows and the
+    diagonal included at the sentinel, and that cost.
+    """
     block = max(1, _BLOCK_BYTES // (8 * live.size))
-    if columns.size > block:
-        parts = [_column_minima(sim_sq, msq, live, columns[lo : lo + block])
-                 for lo in range(0, columns.size, block)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    costs = _cost_columns(sim_sq, msq, live, columns)
-    rows = _live_rows(costs, live, columns)
-    return rows, costs[np.arange(columns.size), rows]
+    rows = np.empty(columns.size, dtype=np.intp)
+    mins = np.empty(columns.size)
+    buffer = np.empty((min(block, columns.size), live.size))
+    for lo in range(0, columns.size, block):
+        part = columns[lo : lo + block]
+        hi, k = lo + part.size, np.arange(part.size)
+        costs = _cost_columns(sim_sq, msq, live, part, buffer[: part.size])
+        rows[lo:hi] = found = _live_rows(costs, live, part)
+        mins[lo:hi] = costs[k, found]
+        if runner_up is not None:
+            costs[k, found] = np.inf
+            runner_up[0][lo:hi] = second = costs.argmin(axis=1)
+            runner_up[1][lo:hi] = costs[k, second]
+    return rows, mins
 
 
 def _cheapest(rows, mins, live=None) -> tuple[int, int]:
@@ -317,7 +342,7 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 def _one_pair(a, rows) -> bool:
     """Whether ``score(a, rows)`` asks for one pair: a scalar row and a one-element array."""
-    return isinstance(rows, np.ndarray) and rows.shape == (1,) and np.ndim(a) == 0
+    return type(rows) is np.ndarray and rows.shape == (1,) and isinstance(a, (int, np.integer))
 
 
 def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
@@ -327,20 +352,23 @@ def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
     together. Each pair takes one BLAS dot per difference, so a score does
     not depend on which other pairs share the call. A scalar ``a`` with a
     one-element index array, as a one-column rescan asks for, takes the
-    same dots and the same rounding steps on scalars, without the batch's
-    dozen array calls.
+    same dots and the same rounding steps on Python floats, without the
+    batch's dozen array calls.
     """
     w, b = layer.weights, layer.bias
+    bias = b.tolist()
     if mode is SimilarityMode.RAW_DIFFERENCE:
 
         def raw(a, rows):
             if _one_pair(a, rows):
-                r = rows[0]
+                r = int(rows[0])
                 diff = w[a] - w[r]
-                return np.array([math.sqrt(np.dot(diff, diff) + np.float_power(b[a] - b[r], 2.0))])
+                # Python's float ** is libm pow, which differs from db * db in
+                # the last bit on some inputs, and raises where it overflows;
+                # float_power calls the same pow and gives inf.
+                bias_sq = float(np.float_power(bias[a] - bias[r], 2.0))
+                return np.array([math.sqrt(float(np.dot(diff, diff)) + bias_sq)])
             db = b[a] - b[rows]
-            # Python's float ** is libm pow, which differs from db * db in
-            # the last bit on some inputs; float_power calls the same pow.
             bias_sq = np.float_power(db, np.full_like(db, 2.0))
             return np.sqrt(_squared_norms(w[a] - w[rows]) + bias_sq)
 
@@ -357,17 +385,19 @@ def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
             RuntimeWarning,
             stacklevel=3,
         )
+    divisor, is_zero = den.tolist(), zero.tolist()
 
     def heuristic(a, rows):
         if _one_pair(a, rows):
-            r = rows[0]
-            if zero[a] and zero[r]:
+            r = int(rows[0])
+            if is_zero[a] and is_zero[r]:
                 return np.zeros(1)
-            du, total = w[a] / den[a] - w[r] / den[r], w[a] + w[r]
+            wa, wr = w[a], w[r]
+            du, total = wa / divisor[a] - wr / divisor[r], wa + wr
             # max() keeps a nan first argument, as np.maximum does.
             weight_term = math.sqrt(np.dot(du, du)) / max(math.sqrt(np.dot(total, total)), guard)
-            bias_term = abs(b[a] - b[r]) / max(abs(b[a] + b[r]), guard)
-            return np.array([weight_term + bias_term])
+            ba, br = bias[a], bias[r]
+            return np.array([weight_term + abs(ba - br) / max(abs(ba + br), guard)])
         du = w[a] / den[a, None] - w[rows] / den[rows, None]
         weight_term = np.sqrt(_squared_norms(du)) / np.maximum(
             np.sqrt(_squared_norms(w[a] + w[rows])), guard
@@ -389,15 +419,18 @@ def _sim_sq_lower_bounds(layer: FcLayer, mode: SimilarityMode) -> np.ndarray:
     bounds for inner products (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 3.1) make that cover the Gram form's error and
     the direct scorer's own under any summation order, blocking, FMA use
-    or thread count; a small absolute term covers underflow. The rest of
-    the scorer's arithmetic (sqrt, guard, divide, bias term, square) is
-    then repeated on the bounds, and each of those operations is monotone,
-    so no entry exceeds what :func:`build_saliency_matrix` stores. The raw
-    bias difference is squared by a multiply here and by ``pow`` in the
-    scorer; the two differ by at most one ulp, and add, sqrt and square
-    pass that on monotonically, so a last ``1 - 8 eps`` factor absorbs it.
-    The heuristic's unit rows are bounded from the same product, scaled
-    by the reciprocal norms, with the units' own rounding in the margin.
+    or thread count; a small absolute term covers underflow. Since
+    ``(|a| + |b|)^2 <= 2 (|a|^2 + |b|^2)``, the wider margin ``(8d + 128) u
+    (|a|^2 + |b|^2)`` is taken instead, folded into the squared norms, so
+    it costs no pass over a block. The rest of the scorer's arithmetic
+    (sqrt, guard, divide, bias term, square) is then repeated on the
+    bounds, and each of those operations is monotone, so no entry exceeds
+    what :func:`build_saliency_matrix` stores. The raw bias difference is
+    squared by a multiply here and by ``pow`` in the scorer; the two differ
+    by at most one ulp, and add, sqrt and square pass that on
+    monotonically, so a last ``1 - 8 eps`` factor absorbs it. The
+    heuristic's unit rows are bounded from the same product, scaled by the
+    reciprocal norms, with the units' own rounding in the margin.
 
     Only the upper triangle is computed: each row block meets the columns
     from its own first row on, and its entries are mirrored below the
@@ -411,69 +444,64 @@ def _sim_sq_lower_bounds(layer: FcLayer, mode: SimilarityMode) -> np.ndarray:
     tol = (2 * d + 32) * eps
     floor = (d + 16) * np.finfo(np.float64).tiny
     nsq = _squared_norms(w)
-    norms = np.sqrt(nsq)
     heuristic = mode is SimilarityMode.NORMALIZED_HEURISTIC
     if heuristic:
         guard = _DENOMINATOR_FLOOR
-        scale = 1.0 / np.maximum(norms, guard)
+        scale = 1.0 / np.maximum(np.sqrt(nsq), guard)
         unit_sq = nsq * scale * scale
         # Unit rows have norm at most 1 (times 1 + O(d u)), so (|a| + |b|)^2 <= 4.
-        unit_margin = 4 * tol + floor * scale.max() * scale.max()
+        unit_low = unit_sq - (4 * tol + floor * scale.max() * scale.max())
+        nsq_high = nsq * (1 + 2 * tol) + floor
+    else:
+        nsq_low = nsq * (1 - 2 * tol) - floor
     # Up to n/8 rows, so the blocks' squares cover little of the lower triangle,
     # but at least 64: on a narrow layer each block costs more than its square.
     block = max(1, min(_BLOCK_BYTES // (8 * n), max(64, -(-n // 8))))
+    below = np.tri(block, k=-1, dtype=bool)
     bounds = np.empty((n, n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         gram = w[lo:hi] @ w[lo:].T
-        margin = np.add.outer(norms[lo:hi], norms[lo:])
-        np.square(margin, out=margin)
-        margin *= tol
-        margin += floor
+        bias = np.subtract(b[lo:hi, None], b[lo:])
         if heuristic:
             # Upper bound on |a + b|^2, the heuristic's denominator.
-            den = np.add.outer(nsq[lo:hi], nsq[lo:])
+            den = np.add(nsq_high[lo:hi, None], nsq_high[lo:])
             den += gram
             den += gram
-            den += margin
             np.sqrt(den, out=den)
             np.maximum(den, guard, out=den)
             # Lower bound on |unit_a - unit_b|^2, reusing the product's storage.
             gram *= scale[lo:hi, None]
             gram *= -2.0 * scale[lo:]
-            gram += unit_sq[lo:hi, None]
+            gram += unit_low[lo:hi, None]
             gram += unit_sq[lo:]
-            gram -= unit_margin
             np.fmax(gram, 0.0, out=gram)
             np.sqrt(gram, out=gram)
             gram /= den
             # Rows past ~1e154 overflow the products and leave nan; 0 still bounds.
             np.fmax(gram, 0.0, out=gram)
             # The bias term is elementwise, so it is computed exactly.
-            np.add.outer(b[lo:hi], b[lo:], out=den)
+            np.add(b[lo:hi, None], b[lo:], out=den)
             np.abs(den, out=den)
             np.maximum(den, guard, out=den)
-            np.subtract.outer(b[lo:hi], b[lo:], out=margin)
-            np.abs(margin, out=margin)
-            margin /= den
-            gram += margin
+            np.abs(bias, out=bias)
+            bias /= den
+            gram += bias
         else:
             gram *= -2.0
-            gram += nsq[lo:hi, None]
-            gram += nsq[lo:]
-            gram -= margin
+            gram += nsq_low[lo:hi, None]
+            gram += nsq_low[lo:]
             np.fmax(gram, 0.0, out=gram)
-            np.subtract.outer(b[lo:hi], b[lo:], out=margin)
-            np.square(margin, out=margin)
-            gram += margin
+            np.square(bias, out=bias)
+            gram += bias
             np.sqrt(gram, out=gram)
         upper = bounds[lo:hi, lo:]
         np.square(gram, out=upper)
-        upper *= 1.0 - 8 * eps
+        if not heuristic:  # the scorer squares the raw bias difference by pow
+            upper *= 1.0 - 8 * eps
         bounds[hi:, lo:hi] = upper[:, hi - lo :].T
         square = upper[:, : hi - lo]
-        below = np.tril_indices(hi - lo, -1)
-        square[below] = square.T[below]
+        np.copyto(square, square.T, where=below[: hi - lo, : hi - lo])
     return bounds
 
 
@@ -489,9 +517,14 @@ class _CertifiedCosts:
     Dead rows and the diagonal are never scored. Each scored pair is
     written to both halves and never scored again.
 
-    :meth:`column_minimum` settles one column. :meth:`column_minima`, the
-    first scan of a layer, scores every column's first bound in one batch
-    and calls it only on the columns that batch leaves unsettled.
+    :meth:`column_minimum` settles one column. Its costs go to one row
+    buffer that every call reuses, so a rescan allocates no n-row; dead
+    rows are masked from the ``live`` it is handed. :meth:`column_minima`,
+    the first scan of a layer, takes each column's minimum and runner-up
+    over the bounds in one :func:`_column_minima` pass, which reads them
+    in contiguous row blocks into one block buffer. It scores every
+    column's minimum in one batch and calls :meth:`column_minimum` only on
+    the columns whose exact cost the runner-up may beat.
     """
 
     def __init__(self, layer: FcLayer, mode: SimilarityMode):
@@ -499,26 +532,34 @@ class _CertifiedCosts:
         self.sim_sq = _sim_sq_lower_bounds(layer, mode)
         self.exact = np.zeros(self.sim_sq.shape, dtype=bool)
         np.fill_diagonal(self.exact, True)  # the diagonal never enters a cost
+        self.row_costs = np.empty(layer.n_out)  # every rescan's costs, in turn
         self.pair_block = max(1, _BLOCK_BYTES // (8 * layer.n_in))
 
     def column_minima(self, msq, live) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_column_minima` of every column's exact costs.
 
         Each column's first minimum over the bounds is scored in one batch.
-        A column whose first minimum is then exact is settled, as no bound
-        exceeds its exact value; only the rest go to :meth:`column_minimum`.
+        No bound exceeds its exact value, so a column is settled when that
+        exact cost is below the runner-up the same scan found, or equal to
+        it with the runner-up in a later row; only the rest go to
+        :meth:`column_minimum`.
         """
         columns = np.arange(live.size)
-        self._score(columns, _column_minima(self.sim_sq, msq, live, columns)[0])
-        rows, mins = _column_minima(self.sim_sq, msq, live, columns)
-        for c in np.flatnonzero(~self.exact[columns, rows]).tolist():
+        next_rows, next_mins = np.empty(live.size, dtype=np.intp), np.empty(live.size)
+        rows = _column_minima(self.sim_sq, msq, live, columns, (next_rows, next_mins))[0]
+        self._score(columns, rows)
+        mins = self.sim_sq[columns, rows] * msq
+        beaten = (next_mins < mins) | ((next_mins == mins) & (next_rows < rows))
+        # A column with no other live row holds its own, at the sentinel.
+        for c in np.flatnonzero(beaten | (rows == columns)).tolist():
             rows[c], mins[c] = self.column_minimum(msq, live, c)
         return rows, mins
 
     def column_minimum(self, msq, live, column: int) -> tuple[int, float]:
         """:func:`_column_minima` of one column's exact costs, from one row of costs."""
         factor = msq[column]
-        costs = np.where(live, self.sim_sq[column] * factor, DIAGONAL_SENTINEL)
+        costs = np.multiply(self.sim_sq[column], factor, out=self.row_costs)
+        np.putmask(costs, ~live, DIAGONAL_SENTINEL)
         costs[column] = DIAGONAL_SENTINEL
         row = _first_live_row(costs, live, column)
         if not self.exact[column, row]:
@@ -528,8 +569,8 @@ class _CertifiedCosts:
             self.sim_sq[column, row] = self.sim_sq[row, column] = s * s
             self.exact[column, row] = self.exact[row, column] = True
             least = costs[row] = self.sim_sq[column, row] * factor
-            due = (costs <= least).nonzero()[0]
-            if due.size > 1:  # other rows may hold a smaller bound, or exact cost
+            if costs.argmin() != row:  # other rows may hold a smaller bound, or exact cost
+                due = (costs <= least).nonzero()[0]
                 due = due[((due < row) | (costs[due] < least)) & live[due]]
                 self._score(np.full(due.size, column), due)
                 costs[due] = self.sim_sq[column, due] * factor
@@ -543,8 +584,10 @@ class _CertifiedCosts:
         if not todo.any():
             return
         pairs = np.minimum(cols[todo], rows[todo]) * n + np.maximum(cols[todo], rows[todo])
-        if pairs.size > 1:
-            pairs = np.unique(pairs)  # a pair can be due from both of its columns
+        if pairs.size > 1:  # a pair can be due from both of its columns
+            # np.unique's result, without the numpy.ma import its first call costs
+            pairs.sort()
+            pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
         lo, hi = np.divmod(pairs, n)
         for start in range(0, pairs.size, self.pair_block):
             a, b = lo[start : start + self.pair_block], hi[start : start + self.pair_block]

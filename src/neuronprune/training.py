@@ -27,6 +27,7 @@ from .pruning import (
     PrunePolicy,
     PruneTrace,
     _check_prunable,
+    _deletion_steps,
     _EditState,
     prune_layer,
     replay_trace,
@@ -278,8 +279,10 @@ def compare_policies(
 
     Returns ``(traces, curves)``; ``traces`` holds the three deterministic
     policies. No-surgery reuses the surgery trace with ``kept`` stripped,
-    so the saliency loop runs once. The random curve is the elementwise
-    mean over ``random_seeds``, taken in seed order.
+    so the saliency loop runs once, and the deletion policies' traces are
+    taken from their removal order alone, with no pruned network built.
+    The random curve is the elementwise mean over ``random_seeds``, taken
+    in seed order.
     """
     _check_prunable(net, layer_index)
     seeds = tuple(random_seeds)
@@ -289,13 +292,16 @@ def compare_policies(
     _, surgery = prune_layer(
         net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode
     )
-    _, magnitude = prune_layer(
-        net, layer_index, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE), mode
-    )
+
+    def deletions(policy):
+        # prune_layer's trace, without the pruned network it would also build
+        steps = _deletion_steps(net, layer_index, count, policy)
+        return PruneTrace(layer_index=layer_index, n_original=count + 1, steps=tuple(steps))
+
     traces = {
         PolicyKind.SALIENCY_SURGERY: surgery,
         PolicyKind.SALIENCY_NO_SURGERY: surgery.without_surgery(),
-        PolicyKind.NAIVE_MAGNITUDE: magnitude,
+        PolicyKind.NAIVE_MAGNITUDE: deletions(PrunePolicy(PolicyKind.NAIVE_MAGNITUDE)),
     }
     curves = {
         kind: trace_error_curve(net, trace, ds, split, eval_every)
@@ -303,8 +309,7 @@ def compare_policies(
     }
     draws = []
     for seed in seeds:
-        policy = PrunePolicy(PolicyKind.RANDOM, seed=seed)
-        _, trace = prune_layer(net, layer_index, count, policy, mode)
+        trace = deletions(PrunePolicy(PolicyKind.RANDOM, seed=seed))
         draws.append(trace_error_curve(net, trace, ds, split, eval_every))
     mean_errors = np.mean([[e for _, e in draw] for draw in draws], axis=0)
     curves[PolicyKind.RANDOM] = [

@@ -1,6 +1,7 @@
 """Synthetic blob generator and CSV ingestion."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,39 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: expected 3 columns, found 2$"):
             load_csv(p, has_header=has_header)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("3.0,4.0,1\v1.0,2.0,0", "expected 3 columns, found 5"),
+        ("3.0,4\v.0,1", "column 2 is not a number: '4\\x0b.0'"),
+        ("3.0,4.0,1,\u00855,6", "expected 3 columns, found 5"),
+    ], ids=["vertical-tab-between", "vertical-tab-inside", "next-line"])
+    def test_rows_end_only_where_loadtxt_ends_them(self, tmp_path, row, problem):
+        # np.loadtxt ends lines at \n, \r\n and \r only; str.splitlines also
+        # splits at \v, \f, NEL and more, which would misplace the row.
+        p = tmp_path / "bad.csv"
+        rows = ["1.0,2.0,0", "3.0,4.0,1"] * 5
+        rows[5] = row
+        p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:6: {problem}')}$"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_rows_end_at_carriage_returns(self, tmp_path, ending):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(ending.join(["1.0,2.0,0", "3.0,1.0,1", "4.0,1", ""]).encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: expected 3 columns, found 2$"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text, has_header", [
+        ("", False), ("f0,f1,label\n", True), ("# note\n\n", False),
+    ], ids=["empty", "header-only", "comments-only"])
+    def test_file_without_rows_is_refused_without_a_warning(self, tmp_path, text, has_header):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: no data rows$"):
+                load_csv(p, has_header=has_header)
+
     @pytest.mark.parametrize("has_header", [False, True])
     @pytest.mark.parametrize("label", ["0.5", "-1", "1e300"])
     def test_bad_label_names_its_line(self, tmp_path, has_header, label):
@@ -200,7 +234,6 @@ class TestLoadCsv:
         st.integers(1, 255),
     )
     @settings(max_examples=400)
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
     def test_damaged_file_loads_or_names_its_path(
         self, tmp_path_factory, seed, header, kind, at, flip
     ):

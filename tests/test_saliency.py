@@ -699,6 +699,13 @@ class TestCertifiedColumnMinima(HandSetBounds):
         costs, exact = self.costs_with_bounds({(0, 3): 0.0})
         assert self.scan(costs, exact) == [2]
 
+    def test_a_runner_up_equal_at_a_later_row_settles_the_column(self):
+        # Column 0's exact cost in row 2, 4 * 0.75, equals its runner-up, row
+        # 3's bound; row 2 comes first. Column 3's own pick, (0, 3), is loose.
+        costs, exact = self.costs_with_bounds({(0, 3): 4.0})
+        assert self.first_scan(costs, exact) == [3]
+        assert self.rows[0] == 2
+
     def test_an_equal_bound_at_a_smaller_index_is_scored(self):
         # Row 2's exact cost, 4 * 0.75, equals row 1's bounded cost.
         costs, exact = self.costs_with_bounds({(0, 1): 4.0, (0, 2): 0.0})

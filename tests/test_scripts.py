@@ -31,6 +31,7 @@ def test_bench_prune_counts_the_pairs_it_scores():
         assert "error" not in record
         assert record["width"] == 64 and record["fan_in"] == 16
         assert 0 < record["pairs_scored"] <= record["all_pairs"] == 64 * 63 // 2
+        assert record["first_scan_s"] > 0 and record["rescans"] > 0
         assert record["seed"] == 0
         assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
 

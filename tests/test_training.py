@@ -349,6 +349,20 @@ class TestErrorCurves:
             (step, (a + b) / 2) for (step, a), (_, b) in zip(*draws)
         ]
 
+    def test_compare_policies_builds_only_the_surgery_network(self, monkeypatch):
+        # The deletion policies need only their traces; the curves build no network.
+        built, network = [], npr.pruning._EditState.network
+
+        def counted(state):
+            built.append(state)
+            return network(state)
+
+        monkeypatch.setattr(npr.pruning._EditState, "network", counted)
+        ds = make_blobs(n_samples=300, n_features=6, seed=21)
+        net = train(ds, TrainConfig(hidden_units=6, epochs=2, seed=21))
+        npr.compare_policies(net, 0, ds, (1, 2, 3))
+        assert len(built) == 1
+
     def test_curve_makes_the_checks_of_evaluate(self):
         ds = make_blobs(n_samples=300, n_features=6, seed=19)
         net = train(ds, TrainConfig(hidden_units=5, epochs=2, seed=19))
