@@ -4,9 +4,8 @@ Each step removes the neuron ``j`` whose removal cost ``values[i, j]`` is
 the smallest live off-diagonal entry, folding its outgoing coefficients
 into neuron ``i``. :func:`prune_one` is the reference step on an
 immutable :class:`SaliencyMatrix` and ``Network``. The loop behind
-:func:`prune_layer` makes the same choices, through the same cost
-helpers and tie-break rule, in O(n^2) total work, from state private to
-one call:
+:func:`prune_layer` makes the same choices, through the same cost and
+tie-break helpers, in O(n^2) total work, from state private to one call:
 
 * one Gram product gives a certified lower bound on every squared
   similarity, and a pair is scored exactly only when its bound could
@@ -59,7 +58,7 @@ import numpy as np
 
 from .network import FcLayer, Network, merge_neurons
 from .saliency import SaliencyMatrix, SimilarityMode, mean_outgoing_square
-from .saliency import _cost_columns, _CertifiedCosts, _mean_outgoing_squares
+from .saliency import _cheapest, _cost_columns, _CertifiedCosts, _mean_outgoing_squares
 
 __all__ = [
     "PolicyKind",
@@ -280,32 +279,30 @@ def _run_saliency(
     live, weights = state.live, state.next_weights
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = costs.column_minima(msq, live)
-    rescan, steps = costs.column_minimum, []
+    steps = []
     for step_number in range(1, count + 1):
-        # _cheapest, inlined: a dead column holds inf, so it comes first only
-        # when every live minimum is inf as well.
-        j = int(best.argmin())
-        if not live[j]:
-            j = int(live.argmax())
-        i = int(best_row[j])
-        steps.append(PruneStep(step_number, j, float(best[j]), i))
-        # _EditState.apply, inlined: the loop only merges live pairs.
-        column = weights[:, i]
-        column += weights[:, j]
-        live[j] = False
+        i, j = _cheapest(best_row, best, live)
+        step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
+        steps.append(step)
+        state.apply(step)
         best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
+        column = weights[:, i]
         msq[i] = np.add.reduce(column * column) / column.size  # np.mean's sum and divide
-        # The kept column's factor moved; other columns lose a minimum held in row j.
-        best_row[i], best[i] = rescan(msq, live, i)
+        # The kept column's factor moved; other columns lose a minimum held in
+        # row j, which the kept column's rescan no longer holds.
+        best_row[i], best[i] = costs.column_minimum(msq, live, i)
         for c in (best_row == j).nonzero()[0].tolist():
-            best_row[c], best[c] = rescan(msq, live, c)
+            best_row[c], best[c] = costs.column_minimum(msq, live, c)
     return state.network(), steps
 
 
-def _deletion_steps(
+def _deletion_trace(
     net: Network, layer_index: int, count: int, policy: PrunePolicy
-) -> list[PruneStep]:
-    """The first ``count`` plain deletions of NAIVE_MAGNITUDE or RANDOM, in order."""
+) -> PruneTrace:
+    """The trace of the first ``count`` plain deletions of NAIVE_MAGNITUDE or RANDOM.
+
+    It builds no network; :func:`prune_layer` replays it into one.
+    """
     if policy.kind is PolicyKind.NAIVE_MAGNITUDE:
         # A deletion changes no other neuron's weights, so every score stays as
         # it starts. C order, as in a filtered copy: a row's or column's norm
@@ -316,16 +313,20 @@ def _deletion_steps(
         if np.isnan(scores).any():  # an inf incoming norm times a zero outgoing column
             raise ValueError("a magnitude score is nan")
         order = np.argsort(scores, kind="stable")[:count]  # ties go to the smallest index
-        return [
+        steps = [
             PruneStep(step_number=k + 1, removed=int(j), saliency=float(scores[j]))
             for k, j in enumerate(order)
         ]
-    rng = np.random.default_rng(policy.seed)
-    alive = list(range(net.layers[layer_index].n_out))
-    return [
-        PruneStep(step_number=k + 1, removed=alive.pop(rng.integers(len(alive))), saliency=0.0)
-        for k in range(count)
-    ]
+    else:
+        rng = np.random.default_rng(policy.seed)
+        alive = list(range(net.layers[layer_index].n_out))
+        steps = [
+            PruneStep(step_number=k + 1, removed=alive.pop(rng.integers(len(alive))), saliency=0.0)
+            for k in range(count)
+        ]
+    return PruneTrace(
+        layer_index=layer_index, n_original=net.layers[layer_index].n_out, steps=tuple(steps)
+    )
 
 
 def prune_layer(
@@ -342,15 +343,14 @@ def prune_layer(
         raise ValueError(
             f"count must be in [1, {n_out - 1}] for a {n_out}-neuron layer, got {count}"
         )
-    if policy.kind in (PolicyKind.SALIENCY_SURGERY, PolicyKind.SALIENCY_NO_SURGERY):
-        pruned, steps = _run_saliency(net, layer_index, count, mode)
-    else:
-        steps = _deletion_steps(net, layer_index, count, policy)
+    if policy.kind in (PolicyKind.NAIVE_MAGNITUDE, PolicyKind.RANDOM):
+        trace = _deletion_trace(net, layer_index, count, policy)
+        return replay_trace(net, trace), trace
+    pruned, steps = _run_saliency(net, layer_index, count, mode)
     trace = PruneTrace(layer_index=layer_index, n_original=n_out, steps=tuple(steps))
     if policy.kind is PolicyKind.SALIENCY_SURGERY:
         return pruned, trace
-    if policy.kind is PolicyKind.SALIENCY_NO_SURGERY:
-        trace = trace.without_surgery()
+    trace = trace.without_surgery()
     return replay_trace(net, trace), trace
 
 

@@ -250,19 +250,15 @@ def _cost_columns(sim_sq, msq, live, columns, out=None) -> np.ndarray:
     """Row ``k``: cost column ``columns[k]``, with dead rows and the diagonal at the sentinel.
 
     Column c of sim_sq is read as row c, since the build makes it exactly
-    symmetric; a run of consecutive columns is one block of rows, read
-    without a copy. The costs go to ``out`` when it is given.
+    symmetric. The costs go to ``out`` when it is given.
     """
-    k = columns.size
-    if k and (np.diff(columns) == 1).all():
-        lo = int(columns[0])
-        costs = np.multiply(sim_sq[lo : lo + k], msq[lo : lo + k, None], out=out)
-    else:
-        costs = np.take(sim_sq, columns, axis=0, out=out)
-        costs *= msq[columns, None]
+    # The columns are valid indices; "clip" lets take write straight into
+    # out, where the default "raise" fills a temporary copy first.
+    costs = np.take(sim_sq, columns, axis=0, out=out, mode="clip")
+    costs *= msq[columns, None]
     if not live.all():
         costs[:, ~live] = DIAGONAL_SENTINEL
-    costs[np.arange(k), columns] = DIAGONAL_SENTINEL
+    costs[np.arange(columns.size), columns] = DIAGONAL_SENTINEL
     return costs
 
 
@@ -329,7 +325,7 @@ def _cheapest(rows, mins, live=None) -> tuple[int, int]:
     """
     k = int(mins.argmin())
     if live is not None and not live[k]:
-        k = int(np.flatnonzero(live)[0])
+        k = int(live.argmax())
     return int(rows[k]), k
 
 

@@ -27,7 +27,7 @@ from .pruning import (
     PrunePolicy,
     PruneTrace,
     _check_prunable,
-    _deletion_steps,
+    _deletion_trace,
     _EditState,
     prune_layer,
     replay_trace,
@@ -292,16 +292,12 @@ def compare_policies(
     _, surgery = prune_layer(
         net, layer_index, count, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode
     )
-
-    def deletions(policy):
-        # prune_layer's trace, without the pruned network it would also build
-        steps = _deletion_steps(net, layer_index, count, policy)
-        return PruneTrace(layer_index=layer_index, n_original=count + 1, steps=tuple(steps))
-
     traces = {
         PolicyKind.SALIENCY_SURGERY: surgery,
         PolicyKind.SALIENCY_NO_SURGERY: surgery.without_surgery(),
-        PolicyKind.NAIVE_MAGNITUDE: deletions(PrunePolicy(PolicyKind.NAIVE_MAGNITUDE)),
+        PolicyKind.NAIVE_MAGNITUDE: _deletion_trace(
+            net, layer_index, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE)
+        ),
     }
     curves = {
         kind: trace_error_curve(net, trace, ds, split, eval_every)
@@ -309,7 +305,7 @@ def compare_policies(
     }
     draws = []
     for seed in seeds:
-        trace = deletions(PrunePolicy(PolicyKind.RANDOM, seed=seed))
+        trace = _deletion_trace(net, layer_index, count, PrunePolicy(PolicyKind.RANDOM, seed=seed))
         draws.append(trace_error_curve(net, trace, ds, split, eval_every))
     mean_errors = np.mean([[e for _, e in draw] for draw in draws], axis=0)
     curves[PolicyKind.RANDOM] = [
