@@ -29,14 +29,8 @@ from .model_io import (
     load_model,
     save_model,
 )
-from .network import Activation, param_count
-from .pruning import (
-    PolicyKind,
-    PrunePolicy,
-    _check_prunable,
-    compression_percent,
-    prune_network,
-)
+from .network import Activation, _check_hidden_layer, param_count
+from .pruning import PolicyKind, PrunePolicy, compression_percent, prune_network
 from .saliency import SimilarityMode
 from .training import (
     TrainConfig,
@@ -197,7 +191,7 @@ def _cmd_cutoff(parser: argparse.ArgumentParser, args) -> int:
     n_original = None
     if args.model is not None:
         net = load_model(args.model)
-        _check_prunable(net, args.layer_index)
+        _check_hidden_layer(net, args.layer_index)
         n_original = net.layers[args.layer_index].n_out
     trace = import_trace(args.trace, layer_index=args.layer_index, n_original=n_original)
     if args.method == "data-free":

@@ -47,8 +47,9 @@ class Dataset:
             if idx.ndim != 1:
                 raise ValueError(f"{name} must be a flat index array")
             splits.append(idx)
-        joined = np.concatenate(splits)
-        if len(joined) != len(labels) or len(np.unique(joined)) != len(labels):
+        # Sorted, a repeat sits next to its copy: np.unique's first call imports numpy.ma.
+        joined = np.sort(np.concatenate(splits))
+        if len(joined) != len(labels) or (joined[1:] == joined[:-1]).any():
             raise ValueError("splits must be disjoint and cover every sample")
         if joined.min(initial=0) < 0 or joined.max(initial=-1) >= len(labels):
             raise ValueError("split indices out of range")

@@ -14,6 +14,16 @@ Conventions used throughout the package:
   coefficients.
 * The output layer emits logits; ``Activation.IDENTITY`` is allowed there
   and nowhere else.
+
+Every neuron removal goes through one edit, ``_LayerEdit``: it records
+removals from one hidden layer on a live mask (by original index) and one
+copy of the next layer's weights, whose columns receive the merges, and
+builds the pruned ``Network`` once, on demand. :func:`delete_neuron` and
+:func:`merge_neurons` are single removals on it; the pruning loop, trace
+replay and the incremental error curve apply many removals to one edit,
+and the error curve builds no network at all: it reads the removed
+neuron's outgoing column from the edit and updates cached next-layer
+pre-activations by a rank-one term.
 """
 
 from __future__ import annotations
@@ -139,8 +149,7 @@ class FcLayer:
 
     def weight_set(self, k: int) -> WeightSet:
         """Neuron ``k``'s incoming weights and bias as one value."""
-        if not 0 <= k < self.n_out:
-            raise ValueError(f"neuron index {k} out of range for layer of {self.n_out}")
+        _check_neuron(self, k)
         return WeightSet(self.weights[k], float(self.bias[k]))
 
 
@@ -172,11 +181,6 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].n_out
-
-    def replace_layer(self, index: int, layer: FcLayer) -> "Network":
-        new_layers = list(self.layers)
-        new_layers[index] = layer
-        return Network(tuple(new_layers), self.input_dim)
 
     def replace_adjacent(self, index: int, layer: FcLayer, next_layer: FcLayer) -> "Network":
         """Swap layers ``index`` and ``index + 1`` together.
@@ -256,8 +260,7 @@ def rescale_relu_layer(net: Network, layer_index: int) -> RescaleResult:
     bias) by the row norm and multiplying that norm into the neuron's
     outgoing column leaves the network function unchanged.
     """
-    if not 0 <= layer_index < len(net.layers) - 1:
-        raise ValueError("can only rescale a layer that feeds another layer")
+    _check_hidden_layer(net, layer_index)
     layer = net.layers[layer_index]
     if layer.activation is not Activation.RELU:
         raise ValueError("homogeneity rescaling is only valid for relu layers")
@@ -271,25 +274,83 @@ def rescale_relu_layer(net: Network, layer_index: int) -> RescaleResult:
     return RescaleResult(network=rescaled, scales=scales, skipped=skipped)
 
 
+def _check_hidden_layer(net: Network, layer_index: int) -> None:
+    if not 0 <= layer_index < len(net.layers) - 1:
+        raise ValueError(
+            f"layer_index {layer_index} does not name a prunable layer; the "
+            f"output layer (index {len(net.layers) - 1}) cannot be pruned"
+        )
+
+
+def _check_neuron(layer: FcLayer, k: int) -> None:
+    if not 0 <= k < layer.n_out:
+        raise ValueError(f"neuron index {k} out of range for layer of {layer.n_out}")
+
+
+class _LayerEdit:
+    """Removals from one hidden layer, applied in place and built on demand.
+
+    Holds the live mask (by original index) and one copy of the next
+    layer's weights, whose columns receive the merges; incoming weights
+    never change, so they are only filtered when a network is built.
+    """
+
+    def __init__(self, net: Network, layer_index: int):
+        _check_hidden_layer(net, layer_index)
+        self.net = net
+        self.layer_index = layer_index
+        self.live = np.ones(net.layers[layer_index].n_out, dtype=bool)
+        self.next_weights = net.layers[layer_index + 1].weights.copy()
+
+    @classmethod
+    def for_trace(cls, net: Network, trace) -> "_LayerEdit":
+        """An edit of the layer a ``PruneTrace`` was recorded on."""
+        edit = cls(net, trace.layer_index)
+        if edit.live.size != trace.n_original:
+            raise ValueError("trace was recorded for a layer of a different width")
+        return edit
+
+    def remove(self, removed: int, kept: int | None = None) -> None:
+        """Delete neuron ``removed``, first folding its outgoing column into ``kept``'s."""
+        if kept is not None:
+            if not self.live[kept]:
+                raise ValueError(f"trace merges into already-removed neuron {kept}")
+            self.next_weights[:, kept] += self.next_weights[:, removed]
+        self.live[removed] = False
+
+    def network(self) -> Network:
+        if self.live.all():
+            return self.net
+        layer = self.net.layers[self.layer_index]
+        nxt = self.net.layers[self.layer_index + 1]
+        live = self.live
+        weights = layer.weights[live]
+        # compress returns C order; indexing the columns with a mask would
+        # return a Fortran-ordered matrix.
+        next_weights = self.next_weights.compress(live, axis=1)
+        # Both are fresh matrices: read-only, FcLayer keeps them without a copy.
+        weights.setflags(write=False)
+        next_weights.setflags(write=False)
+        return self.net.replace_adjacent(
+            self.layer_index,
+            FcLayer(weights, layer.bias[live], layer.activation),
+            FcLayer(next_weights, nxt.bias, nxt.activation),
+        )
+
+
 def delete_neuron(net: Network, layer_index: int, j: int) -> Network:
     """Remove neuron ``j`` from a hidden layer.
 
     Drops row ``j`` and bias ``j`` from the layer and column ``j`` from the
     next layer, so all dimensions stay consistent.
     """
-    if not 0 <= layer_index < len(net.layers) - 1:
-        raise ValueError("neurons can only be deleted from hidden layers")
+    edit = _LayerEdit(net, layer_index)
     layer = net.layers[layer_index]
-    if not 0 <= j < layer.n_out:
-        raise ValueError(f"neuron index {j} out of range for layer of {layer.n_out}")
+    _check_neuron(layer, j)
     if layer.n_out < 2:
         raise ValueError("cannot delete the last neuron of a layer")
-    new_layer = FcLayer(
-        np.delete(layer.weights, j, axis=0), np.delete(layer.bias, j), layer.activation
-    )
-    nxt = net.layers[layer_index + 1]
-    new_next = FcLayer(np.delete(nxt.weights, j, axis=1), nxt.bias, nxt.activation)
-    return net.replace_adjacent(layer_index, new_layer, new_next)
+    edit.remove(j)
+    return edit.network()
 
 
 def merge_neurons(net: Network, layer_index: int, kept: int, removed: int) -> Network:
@@ -301,17 +362,11 @@ def merge_neurons(net: Network, layer_index: int, kept: int, removed: int) -> Ne
     """
     if kept == removed:
         raise ValueError("kept and removed neuron must differ")
-    if not 0 <= layer_index < len(net.layers) - 1:
-        raise ValueError("neurons can only be merged in hidden layers")
-    layer = net.layers[layer_index]
-    for idx in (kept, removed):
-        if not 0 <= idx < layer.n_out:
-            raise ValueError(f"neuron index {idx} out of range for layer of {layer.n_out}")
-    nxt = net.layers[layer_index + 1]
-    W2 = nxt.weights.copy()
-    W2[:, kept] += W2[:, removed]
-    patched = net.replace_layer(layer_index + 1, FcLayer(W2, nxt.bias, nxt.activation))
-    return delete_neuron(patched, layer_index, removed)
+    edit = _LayerEdit(net, layer_index)
+    for k in (kept, removed):
+        _check_neuron(net.layers[layer_index], k)
+    edit.remove(removed, kept)
+    return edit.network()
 
 
 def param_count(net: Network) -> int:

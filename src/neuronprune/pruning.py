@@ -22,12 +22,9 @@ tie-break helpers, in O(n^2) total work, from state private to one call:
   the live mask. The first scan reads the bounds in contiguous blocks of
   rows, all into one buffer, scores every column's cheapest bound in one
   batch, and runs the rescan on the columns that batch leaves unsettled;
-* removals are recorded on a live mask and one copy of the next layer's
-  weights, and the pruned ``Network`` is materialized once, at the end.
-  :func:`replay_trace` replays a trace on the same state.
-  ``training.trace_error_curve`` applies each step to it too, but builds
-  no network: it reads the removed neuron's outgoing column from the
-  state and updates cached next-layer pre-activations by a rank-one term.
+* removals go to one edit of the layer (see :mod:`neuronprune.network`),
+  and the pruned ``Network`` is built once, at the end;
+  :func:`replay_trace` replays a trace on the same edit.
 
 Baseline policies for comparison runs:
 
@@ -56,7 +53,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import FcLayer, Network, merge_neurons
+from .network import Network, _check_hidden_layer, _LayerEdit, merge_neurons
 from .saliency import SaliencyMatrix, SimilarityMode, mean_outgoing_square
 from .saliency import _cheapest, _cost_columns, _CertifiedCosts, _mean_outgoing_squares
 
@@ -209,82 +206,21 @@ def prune_one(
     return new_net, replace(matrix, live=live, mean_sq_out=msq), step
 
 
-def _check_prunable(net: Network, layer_index: int) -> None:
-    if not 0 <= layer_index < len(net.layers) - 1:
-        raise ValueError(
-            f"layer_index {layer_index} does not name a prunable layer; the "
-            f"output layer (index {len(net.layers) - 1}) cannot be pruned"
-        )
-
-
-class _EditState:
-    """Removals from one layer, applied in place and materialized on demand.
-
-    Holds the live mask (by original index) and one copy of the next
-    layer's weights, whose columns receive the merges; incoming weights
-    never change, so they are only filtered when a network is built.
-    """
-
-    def __init__(self, net: Network, layer_index: int):
-        _check_prunable(net, layer_index)
-        self.net = net
-        self.layer_index = layer_index
-        self.live = np.ones(net.layers[layer_index].n_out, dtype=bool)
-        self.next_weights = net.layers[layer_index + 1].weights.copy()
-
-    @classmethod
-    def for_trace(cls, net: Network, trace: PruneTrace) -> "_EditState":
-        state = cls(net, trace.layer_index)
-        if state.live.size != trace.n_original:
-            raise ValueError("trace was recorded for a layer of a different width")
-        return state
-
-    def apply(self, step: PruneStep) -> None:
-        """Merge ``removed`` into ``kept``, or plainly delete it when ``kept`` is None."""
-        if not self.live[step.removed]:
-            raise ValueError(f"trace removes neuron {step.removed} twice")
-        if step.kept is not None:
-            if not self.live[step.kept]:
-                raise ValueError(f"trace merges into already-removed neuron {step.kept}")
-            self.next_weights[:, step.kept] += self.next_weights[:, step.removed]
-        self.live[step.removed] = False
-
-    def network(self) -> Network:
-        if self.live.all():
-            return self.net
-        layer = self.net.layers[self.layer_index]
-        nxt = self.net.layers[self.layer_index + 1]
-        live = self.live
-        weights = layer.weights[live]
-        # compress keeps C order, as the per-step deletes did; indexing the
-        # columns with a mask would return a Fortran-ordered matrix.
-        next_weights = self.next_weights.compress(live, axis=1)
-        # Both are fresh matrices: read-only, FcLayer keeps them without a copy.
-        weights.setflags(write=False)
-        next_weights.setflags(write=False)
-        return self.net.replace_adjacent(
-            self.layer_index,
-            FcLayer(weights, layer.bias[live], layer.activation),
-            FcLayer(next_weights, nxt.bias, nxt.activation),
-        )
-
-
 def _run_saliency(
     net: Network, layer_index: int, count: int, mode: SimilarityMode
 ) -> tuple[Network, list[PruneStep]]:
     """:func:`prune_one` ``count`` times over, with cached exact column minima."""
     costs = _CertifiedCosts(net.layers[layer_index], mode)
     msq = _mean_outgoing_squares(net.layers[layer_index + 1])
-    state = _EditState(net, layer_index)
-    live, weights = state.live, state.next_weights
+    edit = _LayerEdit(net, layer_index)
+    live, weights = edit.live, edit.next_weights
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = costs.column_minima(msq, live)
     steps = []
     for step_number in range(1, count + 1):
         i, j = _cheapest(best_row, best, live)
-        step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
-        steps.append(step)
-        state.apply(step)
+        steps.append(PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i))
+        edit.remove(j, i)
         best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
         column = weights[:, i]
         msq[i] = np.add.reduce(column * column) / column.size  # np.mean's sum and divide
@@ -293,7 +229,7 @@ def _run_saliency(
         best_row[i], best[i] = costs.column_minimum(msq, live, i)
         for c in (best_row == j).nonzero()[0].tolist():
             best_row[c], best[c] = costs.column_minimum(msq, live, c)
-    return state.network(), steps
+    return edit.network(), steps
 
 
 def _deletion_trace(
@@ -337,7 +273,7 @@ def prune_layer(
     mode: SimilarityMode = SimilarityMode.NORMALIZED_HEURISTIC,
 ) -> tuple[Network, PruneTrace]:
     """Remove ``count`` neurons from one layer under the given policy."""
-    _check_prunable(net, layer_index)
+    _check_hidden_layer(net, layer_index)
     n_out = net.layers[layer_index].n_out
     if not 1 <= count <= n_out - 1:
         raise ValueError(
@@ -384,16 +320,16 @@ def replay_trace(net: Network, trace: PruneTrace, count: int | None = None) -> N
     Steps with a ``kept`` partner are merged, the rest plainly deleted,
     so a replayed prefix reproduces the pruned network exactly without
     rebuilding any cost matrix. The removals are applied to one edit
-    state and the network is built once, at the end.
+    and the network is built once, at the end.
     """
     if count is None:
         count = len(trace.steps)
     if not 0 <= count <= len(trace.steps):
         raise ValueError(f"count must be in [0, {len(trace.steps)}]")
-    state = _EditState.for_trace(net, trace)
+    edit = _LayerEdit.for_trace(net, trace)
     for step in trace.steps[:count]:
-        state.apply(step)
-    return state.network()
+        edit.remove(step.removed, step.kept)
+    return edit.network()
 
 
 def compression_percent(removed_params: float, total_params: float) -> float:

@@ -21,17 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .network import Activation, FcLayer, Network, _run_layers, forward_batch
-from .pruning import (
-    PolicyKind,
-    PrunePolicy,
-    PruneTrace,
-    _check_prunable,
-    _deletion_trace,
-    _EditState,
-    prune_layer,
-    replay_trace,
+from .network import (
+    Activation,
+    FcLayer,
+    Network,
+    _check_hidden_layer,
+    _LayerEdit,
+    _run_layers,
+    forward_batch,
 )
+from .pruning import PolicyKind, PrunePolicy, PruneTrace, _deletion_trace, prune_layer, replay_trace
 from .saliency import SimilarityMode
 
 __all__ = [
@@ -206,7 +205,7 @@ def _trace_logits(net: Network, trace: PruneTrace, x: np.ndarray, eval_every: in
     A yielded array can be the kernel's own buffer, which the next step
     updates in place.
     """
-    state = _EditState.for_trace(net, trace)
+    edit = _LayerEdit.for_trace(net, trace)
     k = trace.layer_index
     nxt = net.layers[k + 1]
     hidden = _run_layers(net.layers[: k + 1], x)
@@ -214,12 +213,12 @@ def _trace_logits(net: Network, trace: PruneTrace, x: np.ndarray, eval_every: in
     yield 0, _run_layers(net.layers[k + 2 :], nxt.activation.apply(pre))
     total = len(trace.steps)
     for done, step in enumerate(trace.steps, start=1):
-        state.apply(step)
-        # apply folded column j into column i but left column j as it was
+        edit.remove(step.removed, step.kept)
+        # remove folded column j into column i but left column j as it was
         h = hidden[:, step.removed]
         if step.kept is not None:
             h = h - hidden[:, step.kept]
-        pre -= np.multiply.outer(h, state.next_weights[:, step.removed])
+        pre -= np.multiply.outer(h, edit.next_weights[:, step.removed])
         if done % eval_every == 0 or done == total:
             yield done, _run_layers(net.layers[k + 2 :], nxt.activation.apply(pre))
 
@@ -284,7 +283,7 @@ def compare_policies(
     The random curve is the elementwise mean over ``random_seeds``, taken
     in seed order.
     """
-    _check_prunable(net, layer_index)
+    _check_hidden_layer(net, layer_index)
     seeds = tuple(random_seeds)
     if not seeds:
         raise ValueError("need at least one random seed")

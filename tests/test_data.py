@@ -1,7 +1,11 @@
 """Synthetic blob generator and CSV ingestion."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,26 @@ class TestDatasetType:
         np.testing.assert_array_equal(ys, [1])
         with pytest.raises(ValueError):
             ds.split("holdout")
+
+
+def test_loading_data_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique's first call imports numpy.ma, which costs tens of milliseconds
+    # on a fresh interpreter; the split check needs no such import.
+    path = tmp_path / "blobs.csv"
+    path.write_text("".join(f"{k % 7}.5,{k % 3}.25,{k % 2}\n" for k in range(40)))
+    code = (
+        "import sys\n"
+        "from neuronprune import load_csv, make_blobs\n"
+        "make_blobs(n_samples=200, seed=1)\n"
+        f"load_csv({str(path)!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 class TestMakeBlobs:

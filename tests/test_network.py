@@ -293,7 +293,7 @@ class TestRescale:
         b = net.layers[0].bias.copy()
         w[1] = 0.0
         b[1] = 0.5
-        net = net.replace_layer(0, FcLayer(w, b, Activation.RELU))
+        net = Network((FcLayer(w, b, Activation.RELU), net.layers[1]), net.input_dim)
         res = rescale_relu_layer(net, 0)
         assert res.skipped == (1,)
         assert res.scales[1] == 1.0

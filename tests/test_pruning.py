@@ -36,7 +36,7 @@ from neuronprune import (
     train,
 )
 from neuronprune.model_io import export_trace, import_trace
-from neuronprune.pruning import _EditState
+from neuronprune.network import _LayerEdit
 from neuronprune.saliency import _cheapest, _column_minima
 from conftest import awkward_layer, record_scored_pairs
 
@@ -175,7 +175,8 @@ class TestPruneOne:
         net = seeded_net(1, hidden=5)
         w2 = net.layers[1].weights.copy()
         w2[:, 3] = 0.0
-        net = net.replace_layer(1, FcLayer(w2, net.layers[1].bias, Activation.IDENTITY))
+        output = FcLayer(w2, net.layers[1].bias, Activation.IDENTITY)
+        net = Network((net.layers[0], output), net.input_dim)
         m = build_saliency_matrix(net.layers[0], net.layers[1], HEUR)
         _, _, step = prune_one(net, 0, m)
         assert step.removed == 3
@@ -307,9 +308,7 @@ class TestPruneLayer:
             assert step == PruneStep(step.step_number, alive.pop(k), float(scores[k]))
             net = delete_neuron(net, 0, k)
         assert len(trace) == count
-        for got, want in zip(pruned.layers, net.layers):  # delete_neuron keeps Fortran order
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.bias, want.bias)
+        assert same_network(pruned, net)  # both C order, whatever the input's order
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_nan_magnitude_score_raises_before_any_step(self, count):
@@ -493,6 +492,37 @@ class TestReplayTrace:
         with pytest.raises(ValueError, match="already-removed neuron 1"):
             trace_error_curve(net, trace, ds)
 
+    def test_edits_of_fortran_ordered_layers_return_c_ordered_copies(self):
+        c_net = seeded_net(22, hidden=6)
+        layers = [
+            FcLayer(np.asfortranarray(la.weights), la.bias, la.activation) for la in c_net.layers
+        ]
+        net = Network(tuple(layers), c_net.input_dim)
+        first, second = net.layers
+        w, b, a = np.array(first.weights), first.bias, np.array(second.weights)  # order kept
+        assert w.flags.f_contiguous and not w.flags.c_contiguous
+        folded = a.copy()
+        folded[:, 1] += folded[:, 4]
+        trace = PruneTrace(0, 6, (PruneStep(1, 4, 0.0, kept=1), PruneStep(2, 0, 0.0)))
+        for edited, dropped, next_weights in (
+            (delete_neuron(net, 0, 4), [4], a),
+            (merge_neurons(net, 0, kept=1, removed=4), [4], folded),
+            (replay_trace(net, trace, 1), [4], folded),
+            (replay_trace(net, trace), [0, 4], folded),
+        ):
+            got = (edited.layers[0].weights, edited.layers[0].bias, edited.layers[1].weights)
+            want = (
+                np.delete(w, dropped, axis=0),
+                np.delete(b, dropped),
+                np.delete(next_weights, dropped, axis=1),
+            )
+            for g, v in zip(got, want):
+                assert np.array_equal(g, v)
+                assert g.flags.c_contiguous and not g.flags.writeable
+        # The input network is untouched, order included.
+        assert np.array_equal(net.layers[0].weights, w) and np.array_equal(net.layers[1].weights, a)
+        assert net.layers[0].weights.flags.f_contiguous and net.layers[1].weights.flags.f_contiguous
+
     def test_replay_rejects_width_mismatch(self):
         net = seeded_net(20, hidden=8)
         _, trace = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
@@ -525,16 +555,21 @@ def reference_prune(net, layer_index, count, mode):
 
 
 def reference_replay(net, trace):
-    """A trace applied one merge_neurons/delete_neuron call at a time."""
+    """A trace applied one step at a time: a column add, then np.delete."""
+    k = trace.layer_index
+    w, b, a = net.layers[k].weights, net.layers[k].bias, net.layers[k + 1].weights.copy()
     alive = list(range(trace.n_original))
     for step in trace.steps:
         removed = alive.index(step.removed)
-        if step.kept is None:
-            net = delete_neuron(net, trace.layer_index, removed)
-        else:
-            net = merge_neurons(net, trace.layer_index, alive.index(step.kept), removed)
+        if step.kept is not None:
+            a[:, alive.index(step.kept)] += a[:, removed]
+        w, b = np.delete(w, removed, axis=0), np.delete(b, removed)
+        a = np.delete(a, removed, axis=1)
         alive.remove(step.removed)
-    return net
+    layers = list(net.layers)
+    layers[k] = FcLayer(w, b, layers[k].activation)
+    layers[k + 1] = FcLayer(a, layers[k + 1].bias, layers[k + 1].activation)
+    return Network(tuple(layers), net.input_dim)
 
 
 def reference_loop(net, layer_index, count, mode):
@@ -544,24 +579,23 @@ def reference_loop(net, layer_index, count, mode):
     )
     sim_sq = matrix.sim_sq
     msq = matrix.mean_sq_out.copy()
-    state = _EditState(net, layer_index)
-    live = state.live
+    edit = _LayerEdit(net, layer_index)
+    live = edit.live
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = _column_minima(sim_sq, msq, live, np.arange(live.size))
     steps = []
     for step_number in range(1, count + 1):
         i, j = _cheapest(best_row, best, live)
-        step = PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i)
-        steps.append(step)
-        state.apply(step)
+        steps.append(PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i))
+        edit.remove(j, i)
         best[j] = np.inf
-        column = state.next_weights[:, i]
+        column = edit.next_weights[:, i]
         msq[i] = np.mean(column * column)
         stale = live & (best_row == j)
         stale[i] = True
         columns = np.flatnonzero(stale)
         best_row[columns], best[columns] = _column_minima(sim_sq, msq, live, columns)
-    return state.network(), tuple(steps)
+    return edit.network(), tuple(steps)
 
 
 def assert_matches_reference_loop(net, mode, layer_index=0):

@@ -273,7 +273,8 @@ class TestEvaluate:
         b1 = net.layers[0].bias.copy()
         w1[3] = w1[1]
         b1[3] = b1[1]
-        dup = net.replace_layer(0, FcLayer(w1, b1, net.layers[0].activation))
+        hidden = FcLayer(w1, b1, net.layers[0].activation)
+        dup = Network((hidden, net.layers[1]), net.input_dim)
         merged = merge_neurons(dup, 0, kept=1, removed=3)
         assert evaluate(merged, ds) == evaluate(dup, ds)
 
@@ -351,13 +352,13 @@ class TestErrorCurves:
 
     def test_compare_policies_builds_only_the_surgery_network(self, monkeypatch):
         # The deletion policies need only their traces; the curves build no network.
-        built, network = [], npr.pruning._EditState.network
+        built, network = [], npr.network._LayerEdit.network
 
         def counted(state):
             built.append(state)
             return network(state)
 
-        monkeypatch.setattr(npr.pruning._EditState, "network", counted)
+        monkeypatch.setattr(npr.network._LayerEdit, "network", counted)
         ds = make_blobs(n_samples=300, n_features=6, seed=21)
         net = train(ds, TrainConfig(hidden_units=6, epochs=2, seed=21))
         npr.compare_policies(net, 0, ds, (1, 2, 3))
