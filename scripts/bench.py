@@ -152,14 +152,18 @@ def prune_case(args, width, fan_in, mode):
     first_scan, rescan = costs.column_minima, costs.column_minimum
 
     def counting_scorer(layer, mode):
-        score = scorer(layer, mode)
+        score, score_one = scorer(layer, mode)
 
         def counted(a, b):
             s = score(a, b)
             counts["pairs"] += s.size
             return s
 
-        return counted
+        def counted_one(a, r):
+            counts["pairs"] += 1
+            return score_one(a, r)
+
+        return counted, counted_one
 
     def timed_bounds(layer, mode):
         start = time.perf_counter()

@@ -22,9 +22,11 @@ Two similarity measures are provided:
   compute near-identical features; both effects make the raw distance a
   poor ranking. This measure is the default for pruning.
 
-One private scorer gives the exact similarity of any set of pairs, with
-the same operations as the scalar functions :func:`raw_difference` and
-:func:`heuristic_similarity`, bit for bit.
+One private scorer gives the exact similarity of a batch of pairs, or of
+one pair on scalars, with the same operations as the scalar functions
+:func:`raw_difference` and :func:`heuristic_similarity`, bit for bit. Its
+formula scores an all-zero pair 0 unaided, and it squares the raw bias
+difference by a multiply, as the certified bounds do.
 :func:`build_saliency_matrix` runs it on every pair and is the public
 exact reference. The loop behind ``pruning.prune_layer`` runs it only on
 the pairs that certified lower bounds from one Gram product cannot rule
@@ -52,6 +54,7 @@ from .network import (
     FcLayer,
     Network,
     WeightSet,
+    _frozen_array,
     _run_layers,
     forward,
     merge_neurons,
@@ -88,8 +91,8 @@ def raw_difference(wi: WeightSet, wj: WeightSet) -> float:
     """Euclidean distance between two weight-sets, bias included."""
     if len(wi) != len(wj):
         raise ValueError("weight-sets must have equal length")
-    d = wi.weights - wj.weights
-    return float(np.sqrt(np.dot(d, d) + (wi.bias - wj.bias) ** 2))
+    d, db = wi.weights - wj.weights, wi.bias - wj.bias
+    return float(np.sqrt(np.dot(d, d) + db * db))
 
 
 def heuristic_similarity(wi: WeightSet, wj: WeightSet) -> float:
@@ -111,7 +114,6 @@ def heuristic_similarity(wi: WeightSet, wj: WeightSet) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-        return 0.0
     unit_i = wi.weights / max(ni, guard)
     unit_j = wj.weights / max(nj, guard)
     weight_term = float(np.linalg.norm(unit_i - unit_j)) / max(
@@ -136,9 +138,11 @@ class SaliencyMatrix:
     ``live`` masks the surviving neurons. ``sim_sq`` caches the squared
     similarities, which depend only on incoming weights and therefore stay
     valid across surgery; ``mean_sq_out`` holds the per-neuron outgoing
-    factor, the only part a merge changes. A read-only float64 ``sim_sq``
-    owning its data, as the build and :func:`prune_one` pass, is shared
-    as it is; any other is copied and checked to be symmetric.
+    factor, the only part a merge changes. Both are frozen by the rule of
+    the network's arrays: a read-only float64 array owning its data, as
+    the build and :func:`prune_one` pass for ``sim_sq``, is shared as it
+    is; any other is copied, and a copied ``sim_sq`` is checked to be
+    symmetric.
     """
 
     live: np.ndarray
@@ -148,20 +152,15 @@ class SaliencyMatrix:
 
     def __post_init__(self):
         live = np.array(self.live, dtype=bool)
-        sim_sq = np.asarray(self.sim_sq)
-        shared = sim_sq.dtype == np.float64 and sim_sq.flags.owndata and not sim_sq.flags.writeable
-        if not shared:
-            sim_sq = np.array(sim_sq, dtype=np.float64)
-        msq = np.array(self.mean_sq_out, dtype=np.float64)
+        live.setflags(write=False)
+        sim_sq, msq = _frozen_array(self.sim_sq), _frozen_array(self.mean_sq_out)
         n = sim_sq.shape[0]
         if sim_sq.shape != (n, n):
             raise ValueError("sim_sq must be a square matrix")
-        if not (shared or np.array_equal(sim_sq, sim_sq.T)):
+        if sim_sq is not self.sim_sq and not np.array_equal(sim_sq, sim_sq.T):
             raise ValueError("sim_sq must be symmetric")
         if live.shape != (n,) or msq.shape != (n,):
             raise ValueError("live mask and outgoing factors must match the matrix size")
-        for arr in (live, sim_sq, msq):
-            arr.setflags(write=False)
         object.__setattr__(self, "live", live)
         object.__setattr__(self, "sim_sq", sim_sq)
         object.__setattr__(self, "mean_sq_out", msq)
@@ -225,7 +224,7 @@ def build_saliency_matrix(
     if next_layer.n_in != layer.n_out:
         raise ValueError("next layer does not consume this layer's outputs")
     n = layer.n_out
-    score = _pair_scorer(layer, mode)
+    score = _pair_scorer(layer, mode)[0]
     block = max(1, _BLOCK_BYTES // (8 * max(1, layer.n_in)))
     sim_sq = np.zeros((n, n))
     for i in range(n - 1):
@@ -250,12 +249,16 @@ def _cost_columns(sim_sq, msq, live, columns, out=None) -> np.ndarray:
     """Row ``k``: cost column ``columns[k]``, with dead rows and the diagonal at the sentinel.
 
     Column c of sim_sq is read as row c, since the build makes it exactly
-    symmetric. The costs go to ``out`` when it is given.
+    symmetric. The costs go to ``out`` when it is given. A column whose
+    outgoing factor is 0 costs 0 in every row: removing a neuron with no
+    outgoing weight changes nothing, even at an inf distance.
     """
     # The columns are valid indices; "clip" lets take write straight into
     # out, where the default "raise" fills a temporary copy first.
     costs = np.take(sim_sq, columns, axis=0, out=out, mode="clip")
-    costs *= msq[columns, None]
+    factors = msq[columns]
+    costs *= factors[:, None]
+    costs[factors == 0.0] = 0.0  # not 0 * inf = nan
     if not live.all():
         costs[:, ~live] = DIAGONAL_SENTINEL
     costs[np.arange(columns.size), columns] = DIAGONAL_SENTINEL
@@ -336,74 +339,59 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def _one_pair(a, rows) -> bool:
-    """Whether ``score(a, rows)`` asks for one pair: a scalar row and a one-element array."""
-    return type(rows) is np.ndarray and rows.shape == (1,) and isinstance(a, (int, np.integer))
-
-
 def _pair_scorer(layer: FcLayer, mode: SimilarityMode):
-    """``score(a, b)``: the similarity of rows ``a`` and ``b`` in ``mode``, pair by pair.
+    """``(score, score_one)``: the similarity of rows of ``layer`` in ``mode``, pair by pair.
 
-    ``a`` and ``b`` are row indices, index arrays or slices that broadcast
-    together. Each pair takes one BLAS dot per difference, so a score does
-    not depend on which other pairs share the call. A scalar ``a`` with a
-    one-element index array, as a one-column rescan asks for, takes the
-    same dots and the same rounding steps on Python floats, without the
-    batch's dozen array calls.
+    ``score(a, rows)`` takes row indices, index arrays or slices that
+    broadcast together and returns an array. ``score_one(a, r)`` takes two
+    row indices and returns a float, with the same dots and the same
+    rounding steps on Python floats, without the batch's dozen array calls;
+    a one-column rescan asks for it. Each pair takes one BLAS dot per
+    difference, so a score does not depend on which other pairs share the
+    call.
     """
     w, b = layer.weights, layer.bias
     bias = b.tolist()
     if mode is SimilarityMode.RAW_DIFFERENCE:
 
         def raw(a, rows):
-            if _one_pair(a, rows):
-                r = int(rows[0])
-                diff = w[a] - w[r]
-                # Python's float ** is libm pow, which differs from db * db in
-                # the last bit on some inputs, and raises where it overflows;
-                # float_power calls the same pow and gives inf.
-                bias_sq = float(np.float_power(bias[a] - bias[r], 2.0))
-                return np.array([math.sqrt(float(np.dot(diff, diff)) + bias_sq)])
             db = b[a] - b[rows]
-            bias_sq = np.float_power(db, np.full_like(db, 2.0))
-            return np.sqrt(_squared_norms(w[a] - w[rows]) + bias_sq)
+            return np.sqrt(_squared_norms(w[a] - w[rows]) + db * db)
 
-        return raw
+        def raw_one(a, r) -> float:
+            diff, db = w[a] - w[r], bias[a] - bias[r]
+            return math.sqrt(float(np.dot(diff, diff)) + db * db)
+
+        return raw, raw_one
     guard = _DENOMINATOR_FLOOR
     norms = np.sqrt(_squared_norms(w))
     # One divisor per row, not an n x d copy of the unit rows: dividing only
     # the rows a call touches rounds each element exactly as that copy did.
     den = np.maximum(norms, guard)
-    zero = (norms == 0.0) & (b == 0.0)
-    if np.count_nonzero(zero) >= 2:
+    if np.count_nonzero((norms == 0.0) & (b == 0.0)) >= 2:
         warnings.warn(
             "both weight-sets are all-zero; treating them as maximally similar",
             RuntimeWarning,
             stacklevel=3,
         )
-    divisor, is_zero = den.tolist(), zero.tolist()
+    divisor = den.tolist()
 
     def heuristic(a, rows):
-        if _one_pair(a, rows):
-            r = int(rows[0])
-            if is_zero[a] and is_zero[r]:
-                return np.zeros(1)
-            wa, wr = w[a], w[r]
-            du, total = wa / divisor[a] - wr / divisor[r], wa + wr
-            # max() keeps a nan first argument, as np.maximum does.
-            weight_term = math.sqrt(np.dot(du, du)) / max(math.sqrt(np.dot(total, total)), guard)
-            ba, br = bias[a], bias[r]
-            return np.array([weight_term + abs(ba - br) / max(abs(ba + br), guard)])
         du = w[a] / den[a, None] - w[rows] / den[rows, None]
         weight_term = np.sqrt(_squared_norms(du)) / np.maximum(
             np.sqrt(_squared_norms(w[a] + w[rows])), guard
         )
-        bias_term = np.abs(b[a] - b[rows]) / np.maximum(np.abs(b[a] + b[rows]), guard)
-        s = weight_term + bias_term
-        s[zero[a] & zero[rows]] = 0.0
-        return s
+        return weight_term + np.abs(b[a] - b[rows]) / np.maximum(np.abs(b[a] + b[rows]), guard)
 
-    return heuristic
+    def heuristic_one(a, r) -> float:
+        wa, wr = w[a], w[r]
+        du, total = wa / divisor[a] - wr / divisor[r], wa + wr
+        # max() keeps a nan first argument, as np.maximum does.
+        weight_term = math.sqrt(np.dot(du, du)) / max(math.sqrt(np.dot(total, total)), guard)
+        ba, br = bias[a], bias[r]
+        return weight_term + abs(ba - br) / max(abs(ba + br), guard)
+
+    return heuristic, heuristic_one
 
 
 def _sim_sq_lower_bounds(layer: FcLayer, mode: SimilarityMode) -> np.ndarray:
@@ -419,14 +407,12 @@ def _sim_sq_lower_bounds(layer: FcLayer, mode: SimilarityMode) -> np.ndarray:
     ``(|a| + |b|)^2 <= 2 (|a|^2 + |b|^2)``, the wider margin ``(8d + 128) u
     (|a|^2 + |b|^2)`` is taken instead, folded into the squared norms, so
     it costs no pass over a block. The rest of the scorer's arithmetic
-    (sqrt, guard, divide, bias term, square) is then repeated on the
-    bounds, and each of those operations is monotone, so no entry exceeds
-    what :func:`build_saliency_matrix` stores. The raw bias difference is
-    squared by a multiply here and by ``pow`` in the scorer; the two differ
-    by at most one ulp, and add, sqrt and square pass that on
-    monotonically, so a last ``1 - 8 eps`` factor absorbs it. The
-    heuristic's unit rows are bounded from the same product, scaled by the
-    reciprocal norms, with the units' own rounding in the margin.
+    (sqrt, guard, divide, bias term, square, the raw bias difference's
+    square included) is then repeated on the bounds with the same
+    operations, and each of them is monotone, so no entry exceeds what
+    :func:`build_saliency_matrix` stores. The heuristic's unit rows are
+    bounded from the same product, scaled by the reciprocal norms, with
+    the units' own rounding in the margin.
 
     Only the upper triangle is computed: each row block meets the columns
     from its own first row on, and its entries are mirrored below the
@@ -493,8 +479,6 @@ def _sim_sq_lower_bounds(layer: FcLayer, mode: SimilarityMode) -> np.ndarray:
             np.sqrt(gram, out=gram)
         upper = bounds[lo:hi, lo:]
         np.square(gram, out=upper)
-        if not heuristic:  # the scorer squares the raw bias difference by pow
-            upper *= 1.0 - 8 * eps
         bounds[hi:, lo:hi] = upper[:, hi - lo :].T
         square = upper[:, : hi - lo]
         np.copyto(square, square.T, where=below[: hi - lo, : hi - lo])
@@ -524,7 +508,7 @@ class _CertifiedCosts:
     """
 
     def __init__(self, layer: FcLayer, mode: SimilarityMode):
-        self.score = _pair_scorer(layer, mode)
+        self.score, self.score_one = _pair_scorer(layer, mode)
         self.sim_sq = _sim_sq_lower_bounds(layer, mode)
         self.exact = np.zeros(self.sim_sq.shape, dtype=bool)
         np.fill_diagonal(self.exact, True)  # the diagonal never enters a cost
@@ -537,8 +521,8 @@ class _CertifiedCosts:
         Each column's first minimum over the bounds is scored in one batch.
         No bound exceeds its exact value, so a column is settled when that
         exact cost is below the runner-up the same scan found, or equal to
-        it with the runner-up in a later row; only the rest go to
-        :meth:`column_minimum`.
+        it with the runner-up in a later row; only the rest, and the columns
+        whose factor is 0, go to :meth:`column_minimum`.
         """
         columns = np.arange(live.size)
         next_rows, next_mins = np.empty(live.size, dtype=np.intp), np.empty(live.size)
@@ -547,13 +531,17 @@ class _CertifiedCosts:
         mins = self.sim_sq[columns, rows] * msq
         beaten = (next_mins < mins) | ((next_mins == mins) & (next_rows < rows))
         # A column with no other live row holds its own, at the sentinel.
-        for c in np.flatnonzero(beaten | (rows == columns)).tolist():
+        for c in np.flatnonzero(beaten | (rows == columns) | (msq == 0.0)).tolist():
             rows[c], mins[c] = self.column_minimum(msq, live, c)
         return rows, mins
 
     def column_minimum(self, msq, live, column: int) -> tuple[int, float]:
         """:func:`_column_minima` of one column's exact costs, from one row of costs."""
         factor = msq[column]
+        if factor == 0.0:  # every live row costs 0, as in _cost_columns: take the first
+            rows = np.flatnonzero(live)[:2]
+            rows = rows[rows != column]
+            return (int(rows[0]), 0.0) if rows.size else (column, DIAGONAL_SENTINEL)
         costs = np.multiply(self.sim_sq[column], factor, out=self.row_costs)
         np.putmask(costs, ~live, DIAGONAL_SENTINEL)
         costs[column] = DIAGONAL_SENTINEL
@@ -561,7 +549,7 @@ class _CertifiedCosts:
         if not self.exact[column, row]:
             # One pair, written in place: the scorer is symmetric bit for bit,
             # since swapping a pair negates each difference and keeps each sum.
-            s = self.score(column, np.array([row]))[0]
+            s = self.score_one(column, row)
             self.sim_sq[column, row] = self.sim_sq[row, column] = s * s
             self.exact[column, row] = self.exact[row, column] = True
             least = costs[row] = self.sim_sq[column, row] * factor

@@ -93,22 +93,47 @@ def awkward_layer(seed, n, d, log_scale):
     return w, b
 
 
+def widen(net, wide, seed):
+    """Net2WiderNet on the first hidden layer: ``wide`` neurons, the new ones exact copies.
+
+    Each new neuron copies the incoming weights and bias of a random
+    original, and each original's outgoing column is divided by its copy
+    count, itself included, and shared with its copies. The wider net
+    computes the narrow net's function up to rounding, and merging the
+    copies back, ``wide - n`` removals, costs nothing.
+    """
+    layer, nxt = net.layers[:2]
+    n = layer.n_out
+    source = np.concatenate([np.arange(n), np.random.default_rng(seed).integers(n, size=wide - n)])
+    counts = np.bincount(source, minlength=n)
+    return npr.Network(
+        layers=(
+            npr.FcLayer(layer.weights[source], layer.bias[source], layer.activation),
+            npr.FcLayer(nxt.weights[:, source] / counts[source], nxt.bias, nxt.activation),
+            *net.layers[2:],
+        ),
+        input_dim=net.input_dim,
+    )
+
+
 def record_scored_pairs(monkeypatch):
     """Wrap the exact pair scorer; the returned list gets one (low, high) entry per score."""
     scored = []
     real = saliency._pair_scorer
 
     def wrapped(layer, mode):
-        score = real(layer, mode)
+        score, score_one = real(layer, mode)
 
         def counted(a, b):
-            # Record from broadcast copies, but score the arguments as given,
-            # so a one-pair call still takes the scorer's scalar path.
             low, high = np.broadcast_arrays(a, b)
             scored.extend(zip(np.minimum(low, high).tolist(), np.maximum(low, high).tolist()))
             return score(a, b)
 
-        return counted
+        def counted_one(a, r):
+            scored.append((min(a, r), max(a, r)))
+            return score_one(a, r)
+
+        return counted, counted_one
 
     monkeypatch.setattr(saliency, "_pair_scorer", wrapped)
     return scored

@@ -38,7 +38,7 @@ from neuronprune import (
 from neuronprune.model_io import export_trace, import_trace
 from neuronprune.network import _LayerEdit
 from neuronprune.saliency import _cheapest, _column_minima
-from conftest import awkward_layer, record_scored_pairs
+from conftest import awkward_layer, record_scored_pairs, widen
 
 HEUR = SimilarityMode.NORMALIZED_HEURISTIC
 
@@ -881,13 +881,22 @@ class TestExactScoring:
 
     def test_recorded_rescans_take_the_one_pair_path(self, monkeypatch):
         # The recorder must not hide the scorer's scalar path from the tests.
-        one_pair, took = saliency._one_pair, []
+        real, took = saliency._pair_scorer, []
 
-        def watched(a, rows):
-            took.append(one_pair(a, rows))
-            return took[-1]
+        def watched(layer, mode):
+            score, score_one = real(layer, mode)
 
-        monkeypatch.setattr(saliency, "_one_pair", watched)
+            def one(a, r):
+                took.append(True)
+                return score_one(a, r)
+
+            def batch(a, b):
+                took.append(False)
+                return score(a, b)
+
+            return batch, one
+
+        monkeypatch.setattr(saliency, "_pair_scorer", watched)
         scored = record_scored_pairs(monkeypatch)
         prune_layer(near_twin_net(3, n_in=32, width=128), 0, 127,
                     PrunePolicy(PolicyKind.SALIENCY_SURGERY))
@@ -929,6 +938,48 @@ class TestRescanMatchesReferenceLoop:
         assert same_network(pruned, want_net)
         assert len(set(scored)) == len(scored)
         assert all(a != b for a, b in scored)
+
+
+class TestZeroOutgoingColumn:
+    """A neuron with no outgoing weight costs 0 to remove, even at an inf distance."""
+
+    @MODES
+    def test_removed_first_at_no_cost_among_overflowing_rows(self, mode):
+        rng = np.random.default_rng(44)
+        w2 = rng.normal(size=(3, 8))
+        w2[:, 5] = 0.0
+        net = Network(
+            layers=(
+                FcLayer(rng.normal(size=(8, 5)) * 1e160, rng.normal(size=8) * 1e160, Activation.RELU),
+                FcLayer(w2, rng.normal(size=3), Activation.IDENTITY),
+            ),
+            input_dim=5,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = assert_matches_reference_loop(net, mode)
+            assert reference_prune(net, 0, 7, mode)[1] == trace.steps
+        assert (trace.steps[0].removed, trace.steps[0].saliency) == (5, 0.0)
+
+
+class TestNet2NetRoundTrip:
+    """A trained 32-unit net widened to 128 by exact copies: 96 removals are free."""
+
+    @pytest.fixture(scope="class", params=[Activation.RELU, Activation.SIGMOID], ids=["relu", "sigmoid"])
+    def narrow(self, request):
+        ds = make_blobs(n_samples=600, n_features=12, n_classes=4, seed=9)
+        net = train(ds, TrainConfig(hidden_units=32, activation=request.param, epochs=30, seed=9))
+        return net, ds.features
+
+    @MODES
+    def test_prune_to_one_merges_the_copies_back_first(self, narrow, mode):
+        net, x = narrow
+        wide = widen(net, 128, seed=5)
+        _, trace = prune_layer(wide, 0, 127, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
+        saliencies = trace.saliencies()
+        assert np.all(saliencies[:96] == 0.0)
+        assert saliencies[96] > 0.0
+        gap = forward_batch(replay_trace(wide, trace, 96), x) - forward_batch(net, x)
+        assert np.max(np.abs(gap)) <= 1e-13
 
 
 class TestCompressionArithmetic:

@@ -68,6 +68,11 @@ class TestRawDifference:
         b = WeightSet(np.array([1.0, 0.0]), -1.0)
         assert raw_difference(a, b) == pytest.approx(2.0, abs=1e-15)
 
+    def test_overflowing_bias_difference_is_inf(self):
+        a = WeightSet(np.array([1.0, 0.0]), 1e160)
+        b = WeightSet(np.array([1.0, 0.0]), -1e160)
+        assert raw_difference(a, b) == math.inf
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             raw_difference(WeightSet(np.ones(2), 0.0), WeightSet(np.ones(3), 0.0))
@@ -127,9 +132,9 @@ class TestDenominatorFloor:
         nxt = FcLayer(np.array([[1.0, 2.0], [0.5, -1.0]]), np.zeros(2), Activation.IDENTITY)
         # Unit rows 2 apart and biases 1.4 apart, each over the 1e-12 floor.
         assert heuristic_similarity(layer.weight_set(0), layer.weight_set(1)) == 3.4e12
-        score = saliency._pair_scorer(layer, HEUR)
+        score, score_one = saliency._pair_scorer(layer, HEUR)
         assert score(np.array([0]), np.array([1]))[0] == 3.4e12
-        assert score(0, np.array([1]))[0] == 3.4e12
+        assert score_one(0, 1) == 3.4e12
         matrix = build_saliency_matrix(layer, nxt)
         assert matrix.sim_sq[0, 1] == matrix.sim_sq[1, 0] == 1.156e25
         assert 1.96e24 <= _sim_sq_lower_bounds(layer, HEUR)[0, 1] <= 1.156e25
@@ -230,7 +235,8 @@ class TestSaliencyMatrix:
 
     def test_raw_bias_term_squares_like_the_scalar_reference(self):
         # Each of these differences squares to a different double under
-        # d ** 2 (libm pow, the scalar reference) than under d * d.
+        # d ** 2 (libm pow) than under d * d, which the build and the
+        # scalar reference both take.
         b = np.array([0.0, 2.759, 4.536, 7.964, 9.072, 12.457])
         diffs = [bi - bj for bi in b for bj in b]
         assert any(d**2 != d * d for d in diffs)
@@ -238,6 +244,14 @@ class TestSaliencyMatrix:
         self.assert_sim_sq_equals_scalar_reference(
             FcLayer(layer.weights, b, layer.activation), nxt, RAW
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bias_dominated_rows_equal_the_scalar_reference(self, seed):
+        # Biases up to 1e3 apart: some differences square to another double
+        # under pow than under a multiply, and the bias term sets the last bits.
+        w, b = bias_dominated_rows(seed, 40, 8)
+        layer, nxt = seeded_pair_layer(seed, n=40, d=8)
+        self.assert_sim_sq_equals_scalar_reference(FcLayer(w, b, layer.activation), nxt, RAW)
 
     def test_all_zero_pair_warns_and_costs_nothing(self):
         layer, nxt = seeded_pair_layer(13, n=6)
@@ -472,16 +486,11 @@ class TestCertifiedLowerBounds:
 
     @pytest.mark.parametrize("block_bytes", [saliency._BLOCK_BYTES, 8], ids=["default", "one-row"])
     def test_raw_bias_square_by_multiply_still_bounds(self, block_bytes, monkeypatch):
-        # The bounds square each bias difference by a multiply, the scorer by
-        # pow; the two differ in the last bit on some of these differences.
+        # The bias term dominates these distances, so a bias difference
+        # squared other than as the scorer squares it would show here.
         monkeypatch.setattr(saliency, "_BLOCK_BYTES", block_bytes)
-        differ = 0
         for seed in range(20):
-            w, b = bias_dominated_rows(seed, 60, 8)
-            checked_lower_bounds(w, b, RAW)
-            db = np.subtract.outer(b, b)
-            differ += np.count_nonzero(db * db != np.float_power(db, 2.0))
-        assert differ > 0
+            checked_lower_bounds(*bias_dominated_rows(seed, 60, 8), RAW)
 
     def test_prune_loop_peak_holds_one_matrix_and_a_mask(self, monkeypatch):
         n = 512
@@ -502,7 +511,7 @@ class TestCertifiedLowerBounds:
 
 
 class TestOnePairScorer:
-    """A scalar row against a one-element index array skips the batch, bit for bit."""
+    """``score_one(a, r)`` scores one pair on scalars, bit for bit as the batch."""
 
     @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @given(
@@ -524,8 +533,8 @@ class TestOnePairScorer:
 
     @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     def test_one_pair_equals_the_batch_on_many_pairs(self, mode):
-        # Some of these bias differences square differently under pow and
-        # under a multiply, and the weight term keeps that last bit.
+        # Biases over six decades against one-input rows: the bias term
+        # sets the last bits of most of these scores.
         rng = np.random.default_rng(52)
         b = rng.normal(size=200) * 10.0 ** rng.uniform(-3, 3, 200)
         self.assert_one_pair_equals_the_batch(rng.normal(size=(200, 1)), b, mode)
@@ -541,7 +550,7 @@ class TestOnePairScorer:
         guard = saliency._DENOMINATOR_FLOOR
         sq = saliency._squared_norms
         units = w / np.maximum(np.sqrt(sq(w)), guard)[:, None]
-        score = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), HEUR)
+        score, score_one = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), HEUR)
         rows = np.arange(12)
         for a in range(12):
             du = units[a] - units
@@ -554,7 +563,7 @@ class TestOnePairScorer:
                 t = w[a] + w[r]
                 one = math.sqrt(np.dot(d, d)) / max(math.sqrt(np.dot(t, t)), guard)
                 one += abs(b[a] - b[r]) / max(abs(b[a] + b[r]), guard)
-                assert score(a, np.array([r]))[0] == one, (a, r)
+                assert score_one(a, r) == one, (a, r)
 
     @staticmethod
     def assert_one_pair_equals_the_batch(w, b, mode):
@@ -562,12 +571,12 @@ class TestOnePairScorer:
         rows = np.arange(n)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
-            score = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), mode)
+            score, score_one = saliency._pair_scorer(FcLayer(w, b, Activation.RELU), mode)
             for a in range(n):
                 batch = score(np.full(n, a), rows)
                 for r in range(n):
-                    one = score(a, np.array([r]))
-                    assert one.shape == (1,) and one.tobytes() == batch[r : r + 1].tobytes()
+                    one = score_one(a, r)
+                    assert type(one) is float and np.float64(one).tobytes() == batch[r].tobytes()
 
 
 class HandSetBounds:
@@ -748,12 +757,13 @@ class TestStorage:
         try:
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            score = saliency._pair_scorer(layer, HEUR)
+            score, score_one = saliency._pair_scorer(layer, HEUR)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - base < w.nbytes / 10
         assert score(0, np.array([1])).shape == (1,)
+        assert type(score_one(0, 1)) is float
 
     def test_prune_one_shares_sim_sq_with_its_input(self):
         layer, nxt = seeded_pair_layer(24, n=6)
@@ -861,6 +871,19 @@ class TestOutputGapBound:
         (s,) = verify_bound(net, 0, 0, 1, np.zeros((1, 3)))
         assert s.gap_sq == 0.0
         assert s.holds
+
+    def test_overflowing_distance_gives_inf_bounds_that_hold(self):
+        rng = np.random.default_rng(10)
+        net = Network(
+            layers=(
+                FcLayer(rng.normal(size=(3, 2)), np.array([1e160, -1e160, 0.5]), Activation.SIGMOID),
+                FcLayer(rng.normal(size=(2, 3)), rng.normal(size=2), Activation.IDENTITY),
+            ),
+            input_dim=2,
+        )
+        samples = verify_bound(net, 0, 0, 1, rng.normal(size=(5, 2)))
+        assert len(samples) == 5
+        assert all(s.bound_value == math.inf and s.holds for s in samples)
 
     def test_seeded_nets_never_violate(self):
         rng = np.random.default_rng(123)
