@@ -33,7 +33,6 @@ from .network import (
     RescaleResult,
     WeightSet,
     delete_neuron,
-    forward,
     forward_batch,
     layer_sizes,
     merge_neurons,
@@ -110,7 +109,6 @@ __all__ = [
     "export_curve",
     "export_report_json",
     "export_trace",
-    "forward",
     "forward_batch",
     "heuristic_similarity",
     "histogram",

@@ -15,6 +15,10 @@ Conventions used throughout the package:
 * The output layer emits logits; ``Activation.IDENTITY`` is allowed there
   and nowhere else.
 
+The one forward pass, ``_run_layers``, takes a batch of rows checked by
+``_checked_batch``: :func:`forward_batch` runs it on the whole network,
+the error curve and the removal bound on a prefix or a tail of it.
+
 Every neuron removal goes through one edit, ``_LayerEdit``: it records
 removals from one hidden layer on a live mask (by original index) and one
 copy of the next layer's weights, whose columns receive the merges, and
@@ -39,7 +43,6 @@ __all__ = [
     "FcLayer",
     "Network",
     "RescaleResult",
-    "forward",
     "forward_batch",
     "rescale_relu_layer",
     "delete_neuron",
@@ -195,40 +198,23 @@ class Network:
         return Network(tuple(new_layers), self.input_dim)
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Evaluate the network on a single input vector.
-
-    Each layer computes ``activation(W @ a + b)``; the final layer's
-    activations are returned. Deterministic for fixed inputs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.input_dim:
-        raise ValueError(f"input must be a vector of length {net.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input values must be finite")
-    a = x
-    for layer in net.layers:
-        a = layer.activation.apply(layer.weights @ a + layer.bias)
-    return a
-
-
 def forward_batch(net: Network, X) -> np.ndarray:
     """Evaluate the network on a batch of rows; returns one output row per input."""
+    return _run_layers(net.layers, _checked_batch(net, X))
+
+
+def _checked_batch(net: Network, X) -> np.ndarray:
+    """``X`` as a float64 batch of ``net``'s input rows; raises ValueError on any other."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ValueError(f"batch must have shape (n, {net.input_dim})")
     if not np.all(np.isfinite(X)):
         raise ValueError("input values must be finite")
-    return _run_layers(net.layers, X)
+    return X
 
 
 def _run_layers(layers, A: np.ndarray) -> np.ndarray:
-    """Apply ``layers`` in order to the rows of ``A``, without validation.
-
-    The one batch layer stack: :func:`forward_batch` runs it on the whole
-    network, while the incremental error curve and the removal bound run
-    it on a prefix or a tail of the layers.
-    """
+    """The forward pass: apply ``layers`` in order to the rows of ``A``, without validation."""
     for layer in layers:
         A = layer.activation.apply(A @ layer.weights.T + layer.bias)
     return A

@@ -54,8 +54,8 @@ from enum import Enum
 import numpy as np
 
 from .network import Network, _check_hidden_layer, _LayerEdit, merge_neurons
-from .saliency import SaliencyMatrix, SimilarityMode, mean_outgoing_square
-from .saliency import _cheapest, _cost_columns, _CertifiedCosts, _mean_outgoing_squares
+from .saliency import SaliencyMatrix, SimilarityMode, _CertifiedCosts, _cheapest, _cost_columns
+from .saliency import _mean_outgoing_squares, _mean_squares, mean_outgoing_square
 
 __all__ = [
     "PolicyKind",
@@ -172,6 +172,7 @@ class PruneTrace:
         return replace(self, steps=steps, test_errors=None)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing costs are inf by design
 def prune_one(
     net: Network, layer_index: int, matrix: SaliencyMatrix
 ) -> tuple[Network, SaliencyMatrix, PruneStep]:
@@ -222,8 +223,7 @@ def _run_saliency(
         steps.append(PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i))
         edit.remove(j, i)
         best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
-        column = weights[:, i]
-        msq[i] = np.add.reduce(column * column) / column.size  # np.mean's sum and divide
+        msq[i] = _mean_squares(weights[:, i])
         # The kept column's factor moved; other columns lose a minimum held in
         # row j, which the kept column's rescan no longer holds.
         best_row[i], best[i] = costs.column_minimum(msq, live, i)
@@ -265,6 +265,7 @@ def _deletion_trace(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing costs are inf by design
 def prune_layer(
     net: Network,
     layer_index: int,

@@ -37,7 +37,10 @@ column-scan routine, in the first scan and in every rescan. The matrix
 stores no costs: private helpers shared with :mod:`.pruning` derive them
 and break ties. A column's minimum is always taken over live rows other
 than its own, so a column whose costs all overflow to inf keeps an inf
-minimum in a live row instead of falling back to the sentinel.
+minimum in a live row instead of falling back to the sentinel. Such
+overflow is expected, so :func:`build_saliency_matrix` and
+:func:`verify_bound` print no numpy warning for it. :func:`verify_bound`
+checks one batch of inputs through the one forward pass.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ from .network import (
     FcLayer,
     Network,
     WeightSet,
+    _checked_batch,
     _frozen_array,
     _run_layers,
-    forward,
     merge_neurons,
 )
 
@@ -127,8 +130,16 @@ def mean_outgoing_square(next_layer: FcLayer, j: int) -> float:
     """Mean over next-layer neurons of the squared outgoing weight of neuron ``j``."""
     if not 0 <= j < next_layer.n_in:
         raise ValueError(f"column {j} out of range for layer with {next_layer.n_in} inputs")
-    col = next_layer.weights[:, j]
-    return float(np.mean(col * col))
+    return float(_mean_squares(next_layer.weights[:, j]))
+
+
+def _mean_squares(a: np.ndarray) -> np.ndarray:
+    """``np.mean`` of the squares along the last axis: the one outgoing-factor formula.
+
+    :func:`mean_outgoing_square`, the build and the removal loop all take
+    it, so their factors agree bit for bit.
+    """
+    return np.add.reduce(a * a, axis=-1) / a.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -205,6 +216,7 @@ class SaliencyMatrix:
         return kept, int(columns[k])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing costs are inf by design
 def build_saliency_matrix(
     layer: FcLayer,
     next_layer: FcLayer,
@@ -267,10 +279,8 @@ def _cost_columns(sim_sq, msq, live, columns, out=None) -> np.ndarray:
 
 def _mean_outgoing_squares(next_layer: FcLayer) -> np.ndarray:
     """:func:`mean_outgoing_square` of every neuron, bit for bit, in one call."""
-    # Each contiguous row of the transpose is summed pairwise, as the one
-    # contiguous column copy mean_outgoing_square squares and sums.
-    t = np.ascontiguousarray(next_layer.weights.T)
-    return np.mean(t * t, axis=1)
+    # Contiguous rows of the transpose, as the column copy mean_outgoing_square squares.
+    return _mean_squares(np.ascontiguousarray(next_layer.weights.T))
 
 
 def _first_live_row(costs, live, column) -> int:
@@ -650,6 +660,7 @@ class BoundSample:
         return self.gap_sq <= self.bound_value + 1e-24
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing gaps and bounds are inf by design
 def verify_bound(
     net: Network,
     layer_index: int,
@@ -659,11 +670,14 @@ def verify_bound(
 ) -> list[BoundSample]:
     """Check the removal-error ceiling for merging neuron ``j`` into ``i``.
 
-    For each input, compares the mean squared output gap between the
-    network and its merged counterpart against the product of ``j``'s mean
-    squared outgoing weight, the squared raw weight-set difference, and
-    the squared absorbed input norm. The ceiling is only valid for the raw
-    difference, and only where the merged layer feeds the output directly.
+    For each row of the batch ``xs``, compares the mean squared output gap
+    between the network and its merged counterpart against the product of
+    ``j``'s mean squared outgoing weight, the squared raw weight-set
+    difference, and the squared absorbed input norm. The ceiling is only
+    valid for the raw difference, and only where the merged layer feeds
+    the output directly. The whole batch takes three passes: the layers
+    before the merged one, then the network's tail and the merged tail,
+    both from that prefix's output.
     """
     if layer_index != len(net.layers) - 2:
         raise ValueError("the bound applies to the layer feeding the output directly")
@@ -675,17 +689,15 @@ def verify_bound(
     eps = raw_difference(layer.weight_set(i), layer.weight_set(j))
     a_sq = mean_outgoing_square(net.layers[layer_index + 1], j)
     pruned = merge_neurons(net, layer_index, i, j)
-    samples = []
-    for x in xs:
-        x = np.asarray(x, dtype=np.float64)
-        z_full = forward(net, x)
-        z_pruned = forward(pruned, x)
-        gap_sq = float(np.mean((z_full - z_pruned) ** 2))
-        # The ceiling is stated in terms of the merged layer's own input,
-        # which for deeper nets is the activation of the previous layer.
-        layer_input = _run_layers(net.layers[:layer_index], x[None, :])[0]
-        bound = a_sq * eps * eps * (float(np.dot(layer_input, layer_input)) + 1.0)
-        samples.append(
-            BoundSample(x=x, z_full=z_full, z_pruned=z_pruned, gap_sq=gap_sq, bound_value=bound)
-        )
-    return samples
+    xs = _checked_batch(net, xs)
+    # The ceiling is stated in terms of the merged layer's own input,
+    # which for deeper nets is the activation of the previous layer.
+    layer_input = _run_layers(net.layers[:layer_index], xs)
+    z_full = _run_layers(net.layers[layer_index:], layer_input)
+    z_pruned = _run_layers(pruned.layers[layer_index:], layer_input)
+    gap_sq = _mean_squares(z_full - z_pruned)
+    bound = a_sq * eps * eps * (_squared_norms(layer_input) + 1.0)
+    return [
+        BoundSample(x=x, z_full=zf, z_pruned=zp, gap_sq=g, bound_value=v)
+        for x, zf, zp, g, v in zip(xs, z_full, z_pruned, gap_sq.tolist(), bound.tolist())
+    ]

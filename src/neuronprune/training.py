@@ -26,6 +26,7 @@ from .network import (
     FcLayer,
     Network,
     _check_hidden_layer,
+    _checked_batch,
     _LayerEdit,
     _run_layers,
     forward_batch,
@@ -243,11 +244,9 @@ def trace_error_curve(
     x, y = ds.split(split)
     if len(y) == 0:
         raise ValueError(f"{split} split is empty")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"batch must have shape (n, {net.input_dim})")
     return [
         (done, _accuracy_and_error(logits, y)[1])
-        for done, logits in _trace_logits(net, trace, x, eval_every)
+        for done, logits in _trace_logits(net, trace, _checked_batch(net, x), eval_every)
     ]
 
 

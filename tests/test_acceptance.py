@@ -10,9 +10,11 @@ problem with the random baseline averaged over three draws per seed.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import mean_curve
 from neuronprune.cutoff import data_free_cutoff, histogram
+from neuronprune.data import make_blobs
 from neuronprune.model_io import export_trace, import_trace, load_model, save_model
 from neuronprune.network import (
     Activation,
@@ -39,6 +41,7 @@ from neuronprune.saliency import (
     verify_bound,
     verify_contraction,
 )
+from neuronprune.training import TrainConfig, trace_error_curve, train
 
 SURGERY = PrunePolicy(kind=PolicyKind.SALIENCY_SURGERY)
 RAW = SimilarityMode.RAW_DIFFERENCE
@@ -234,6 +237,27 @@ def test_criterion_08_data_free_cutoff_stays_near_baseline(acceptance_runs):
     print(f"criterion 08 data-free cutoff: PASS "
           f"(max error increase {max(increases):.2f} points, predictions {counts}; "
           f"mixture mode at {mode_center:.3f})")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the data-free cutoff overshoots on ReLU layers: the error rises "
+    "11.28, 2.33, 4.30, 19.88 and 8.02 points on seeds 0-4",
+)
+def test_criterion_08_relu_data_free_cutoff_stays_near_baseline():
+    increases = []
+    for seed in range(5):
+        ds = make_blobs(n_classes=4, separation=4.0, label_noise=0.02, seed=seed)
+        cfg = TrainConfig(
+            hidden_units=20, activation=Activation.RELU, epochs=200, weight_decay=5e-3, seed=seed
+        )
+        net = train(ds, cfg)
+        _, trace = prune_layer(net, 0, 19, SURGERY)
+        curve = dict(trace_error_curve(net, trace, ds))
+        increases.append(curve[data_free_cutoff(trace).predicted_count] - curve[0])
+    print(f"criterion 08 on relu: max error increase {max(increases):.2f} points "
+          f"({', '.join(f'{e:.2f}' for e in increases)})")
+    assert max(increases) <= 3.0
 
 
 def test_criterion_09_compression_arithmetic():

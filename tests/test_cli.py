@@ -135,6 +135,30 @@ class TestPrune:
         assert out_path.read_bytes() == model_file.read_bytes()
         assert "compression: 0.00%" in out
 
+    def test_overflowing_costs_print_no_warning(self, tmp_path):
+        # Raw distances between 1e160-sized rows overflow to inf costs, which
+        # is documented; a run with warnings as errors must still succeed.
+        rng = np.random.default_rng(0)
+        net = Network(
+            layers=(
+                FcLayer(rng.normal(size=(8, 4)) * 1e160, rng.normal(size=8), Activation.RELU),
+                FcLayer(rng.normal(size=(3, 8)), rng.normal(size=3), Activation.IDENTITY),
+            ),
+            input_dim=4,
+        )
+        model_path, out_path = tmp_path / "big.model", tmp_path / "pruned.model"
+        save_model(net, model_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "neuronprune", "prune",
+             "--model", str(model_path), "--out", str(out_path), "--layer", "0:7",
+             "--mode", "raw"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert layer_sizes(load_model(out_path)) == (4, 1, 3)
+
     def test_compression_line_matches_the_saved_models(self, model_file, tmp_path):
         out_path = tmp_path / "pruned.txt"
         code, out, _ = run_cli(

@@ -250,10 +250,9 @@ def overflowing_trace():
         ),
         input_dim=2,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = prune_layer(
-            net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), SimilarityMode.RAW_DIFFERENCE
-        )
+    _, trace = prune_layer(
+        net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), SimilarityMode.RAW_DIFFERENCE
+    )
     return trace
 
 

@@ -13,7 +13,6 @@ from neuronprune import (
     Network,
     WeightSet,
     delete_neuron,
-    forward,
     forward_batch,
     layer_sizes,
     merge_neurons,
@@ -185,19 +184,11 @@ class TestForward:
                 z = layer.activation.apply(pre)
             # batched matmul may round differently at the last ulp
             np.testing.assert_allclose(batched[k], z, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(forward(net, x), z)
 
     def test_rejects_wrong_input_width(self):
         net = seeded_net(1)
         with pytest.raises(ValueError):
-            forward(net, np.zeros(net.input_dim + 2))
-
-    def test_batch_of_one_matches_single(self):
-        net = seeded_net(2, activation=Activation.SIGMOID)
-        x = np.linspace(-1.0, 1.0, net.input_dim)
-        np.testing.assert_allclose(
-            forward_batch(net, x[None, :])[0], forward(net, x), rtol=1e-12, atol=1e-12
-        )
+            forward_batch(net, np.zeros((1, net.input_dim + 2)))
 
 
 class TestStructureHelpers:

@@ -34,6 +34,7 @@ from neuronprune import (
     replay_trace,
     trace_error_curve,
     train,
+    verify_bound,
 )
 from neuronprune.model_io import export_trace, import_trace
 from neuronprune.network import _LayerEdit
@@ -326,8 +327,7 @@ class TestPruneLayer:
             ),
             input_dim=3,
         )
-        with warnings.catch_warnings(), pytest.raises(ValueError):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError):
             prune_layer(net, 0, count, PrunePolicy(PolicyKind.NAIVE_MAGNITUDE))
 
     @settings(max_examples=30)
@@ -572,6 +572,7 @@ def reference_replay(net, trace):
     return Network(tuple(layers), net.input_dim)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as prune_layer: overflowing costs are inf
 def reference_loop(net, layer_index, count, mode):
     """The removal loop on the full exact matrix, with cached column minima."""
     matrix = build_saliency_matrix(
@@ -825,8 +826,7 @@ class TestGramCancellation:
         w = rng.normal(size=(8, 5)) * 1e200
         w[4:] = w[:4] * np.array([1.0, -1.0, 0.5, 1.0 + 2**-40])[:, None]
         net = two_layer_net(w, rng.normal(size=8))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_matches_reference_loop(net, HEUR)
+        assert_matches_reference_loop(net, HEUR)
 
     @MODES
     def test_costs_that_all_overflow_still_prune_to_one(self, mode, tmp_path):
@@ -834,10 +834,9 @@ class TestGramCancellation:
         # minimum is then inf, above the sentinel on the diagonal.
         rng = np.random.default_rng(57)
         net = two_layer_net(rng.normal(size=(4, 2)) * 1e160, rng.normal(size=4))
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = assert_matches_reference_loop(net, mode)
-            assert reference_prune(net, 0, 3, mode)[1] == trace.steps
-            pruned, _ = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
+        trace = assert_matches_reference_loop(net, mode)
+        assert reference_prune(net, 0, 3, mode)[1] == trace.steps
+        pruned, _ = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
         assert same_network(replay_trace(net, trace), pruned)
         if mode is SimilarityMode.RAW_DIFFERENCE:
             assert np.isinf(trace.saliencies()).all()
@@ -955,10 +954,30 @@ class TestZeroOutgoingColumn:
             ),
             input_dim=5,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = assert_matches_reference_loop(net, mode)
-            assert reference_prune(net, 0, 7, mode)[1] == trace.steps
+        trace = assert_matches_reference_loop(net, mode)
+        assert reference_prune(net, 0, 7, mode)[1] == trace.steps
         assert (trace.steps[0].removed, trace.steps[0].saliency) == (5, 0.0)
+
+
+class TestOverflowWarnsNothing:
+    """Products past the float range give inf costs, as documented, and no numpy warning."""
+
+    @MODES
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_public_calls_raise_nothing_when_warnings_are_errors(self, mode, scale):
+        rng = np.random.default_rng(58)
+        net = two_layer_net(rng.normal(size=(6, 3)) * scale, rng.normal(size=6))
+        xs = rng.normal(size=(4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = prune_layer(net, 0, 5, PrunePolicy(PolicyKind.SALIENCY_SURGERY), mode)
+            # build_saliency_matrix, then prune_one at every step
+            _, want = reference_prune(net, 0, 5, mode)
+            samples = verify_bound(net, 0, 0, 1, xs)
+        assert trace.steps == want
+        if mode is SimilarityMode.RAW_DIFFERENCE:  # the heuristic is scale-free
+            assert np.isinf(trace.saliencies()).any()
+        assert all(s.bound_value == np.inf and s.holds for s in samples)
 
 
 class TestNet2NetRoundTrip:

@@ -22,7 +22,7 @@ from neuronprune import (
     SimilarityMode,
     WeightSet,
     build_saliency_matrix,
-    forward,
+    forward_batch,
     mean_outgoing_square,
     merge_neurons,
     prune_layer,
@@ -402,7 +402,8 @@ def checked_lower_bounds(w, b, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         exact = build_saliency_matrix(layer, nxt, mode).sim_sq
-    bounds = _sim_sq_lower_bounds(layer, mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past ~1e154 overflow the products
+        bounds = _sim_sq_lower_bounds(layer, mode)
     off = ~np.eye(len(b), dtype=bool)
     assert np.all(bounds[off] <= exact[off])
     return bounds, exact
@@ -467,8 +468,7 @@ class TestCertifiedLowerBounds:
     @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
     @pytest.mark.parametrize("log_scale", [-300, -160, 160, 200, 300])
     def test_never_above_the_exact_entry_where_products_leave_the_range(self, mode, log_scale):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            bounds, _ = checked_lower_bounds(*awkward_layer(3, 8, 5, log_scale), mode)
+        bounds, _ = checked_lower_bounds(*awkward_layer(3, 8, 5, log_scale), mode)
         assert not np.isnan(bounds).any()
 
     @pytest.mark.parametrize("mode", [RAW, HEUR], ids=["raw", "heuristic"])
@@ -900,8 +900,9 @@ class TestOutputGapBound:
         xs = rng.normal(size=(10, 10))
         samples = verify_bound(net, 0, 2, 5, xs)
         merged = merge_neurons(net, 0, kept=2, removed=5)
-        for s, x in zip(samples, xs):
-            want = float(np.mean((forward(net, x) - forward(merged, x)) ** 2))
+        # One batch on both sides: a batch's rows can round differently from one-row batches.
+        wants = np.mean((forward_batch(net, xs) - forward_batch(merged, xs)) ** 2, axis=1)
+        for s, want in zip(samples, wants):
             assert s.gap_sq == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_deeper_layer_bound_uses_its_own_input(self):
@@ -941,6 +942,32 @@ class TestOutputGapBound:
                 outer = a_sq * float(eps_vec @ eps_vec) * float(xb @ xb)
                 assert samples[0].gap_sq <= mid + 1e-12 * max(mid, 1.0)
                 assert mid <= outer + 1e-12 * max(outer, 1.0)
+
+    def test_rejects_a_batch_of_the_wrong_width(self):
+        net = self.seeded_net(5)
+        with pytest.raises(ValueError, match=r"shape \(n, 10\)"):
+            verify_bound(net, 0, 2, 5, np.zeros((3, 9)))
+        with pytest.raises(ValueError, match=r"shape \(n, 10\)"):
+            verify_bound(net, 0, 2, 5, np.zeros(10))  # one vector, not a batch of one
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_input(self, bad):
+        xs = np.zeros((3, 10))
+        xs[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            verify_bound(self.seeded_net(5), 0, 2, 5, xs)
+
+    def test_a_list_of_vectors_gives_the_array_samples(self):
+        net = self.seeded_net(5)
+        xs = np.random.default_rng(5).normal(size=(6, 10))
+        from_array = verify_bound(net, 0, 2, 5, xs)
+        for listed in (list(xs), xs.tolist()):
+            from_list = verify_bound(net, 0, 2, 5, listed)
+            assert len(from_list) == len(from_array) == 6
+            for a, b in zip(from_list, from_array):
+                for field in ("x", "z_full", "z_pruned"):
+                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+                assert (a.gap_sq, a.bound_value) == (b.gap_sq, b.bound_value)
 
 
 def test_sentinel_is_finite_maximum():

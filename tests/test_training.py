@@ -254,7 +254,9 @@ class TestEvaluate:
             xs, ys = ds.split(split)
             hits = 0
             for x, y in zip(xs, ys):
-                logits = npr.forward(net, x)
+                logits = x
+                for layer in net.layers:
+                    logits = layer.activation.apply(layer.weights @ logits + layer.bias)
                 best = min(np.flatnonzero(logits == logits.max()))
                 hits += int(best == y)
             acc, err = evaluate(net, ds, split=split)
