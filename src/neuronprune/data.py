@@ -136,6 +136,36 @@ def make_blobs(
     )
 
 
+# Read buffer of every model, trace and CSV reader here; read a line at a
+# time, the default 8 KB takes a read call for about every two model rows
+# of 256 values.
+_READ_BUFFER = 1 << 16
+
+
+def _open_binary(path):
+    """``path`` opened to read bytes, through the buffer every reader here shares."""
+    return open(path, "rb", buffering=_READ_BUFFER)
+
+
+def _chunk_lines(
+    path, chunk: bytes, line_number: int, encoding="ascii", error=ValueError, split=str.splitlines
+) -> list[str]:
+    """The lines of ``chunk``, which ends at a ``\\n`` byte or the end of ``path``.
+
+    ``line_number`` counts the lines of ``path`` before the chunk. A byte
+    ``encoding`` cannot decode raises ``error`` at ``path:line``.
+    """
+    try:
+        return split(chunk.decode(encoding))
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is the last one of the text before it plus one character
+        before = chunk[: exc.start].decode(encoding)
+        line_number += len(split(before + "?"))
+        raise error(
+            f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
+        ) from None
+
+
 def _numbered_lines(path, encoding: str = "ascii", error=ValueError, split=str.splitlines):
     """``(line_number, line)`` for each line of ``path``, read one line at a time.
 
@@ -147,18 +177,9 @@ def _numbered_lines(path, encoding: str = "ascii", error=ValueError, split=str.s
     ``path:line``.
     """
     line_number = 0
-    with open(path, "rb") as fh:
+    with _open_binary(path) as fh:
         for chunk in fh:
-            try:
-                lines = split(chunk.decode(encoding))
-            except UnicodeDecodeError as exc:
-                # the bad byte's line is the last one of the text before it plus one character
-                before = chunk[: exc.start].decode(encoding)
-                line_number += len(split(before + "?"))
-                raise error(
-                    f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
-                ) from None
-            for line in lines:
+            for line in _chunk_lines(path, chunk, line_number, encoding, error, split):
                 line_number += 1
                 yield line_number, line
 

@@ -17,6 +17,9 @@ reading a value costs a hex decode instead of a decimal parse. Layout::
 
 Values on a line are separated by single spaces. Version 1 files, the
 same layout with decimal values, still load; only version 2 is written.
+Weight rows are written, and read back, a block of rows at a time; rows
+not exactly as :func:`save_model` writes them are read one line at a
+time, so they load, or fail at ``path:line``, as they always did.
 
 Traces and curves stay decimal: floats are printed at 17 significant
 digits, enough to reproduce any double exactly on reload. Cutoff
@@ -28,14 +31,16 @@ when it was not measured.
 
 from __future__ import annotations
 
+import binascii
+import io
 import json
 import math
-from contextlib import closing
+from collections import deque
 
 import numpy as np
 
 from .cutoff import CutoffReport, SaliencyHistogram
-from .data import _numbered_lines
+from .data import _chunk_lines, _numbered_lines, _open_binary
 from .network import Activation, FcLayer, Network
 from .pruning import PruneStep, PruneTrace
 
@@ -72,36 +77,106 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _hex_row(values: np.ndarray) -> str:
-    """Each value's big-endian float64 bits as 16 hex digits, single spaces between."""
-    return values.astype(">f8").tobytes().hex(" ", 8)
+# Text a block of weight rows may span, unless one row is longer; each
+# block is written with one hex encode and read with one hex decode.
+_BLOCK_BYTES = 1 << 18
+
+
+def _rows_per_block(width: int) -> int:
+    return max(1, _BLOCK_BYTES // (17 * width))
+
+
+def _hex_rows(rows: np.ndarray) -> bytearray:
+    """One line per row: each value's big-endian float64 bits as 16 hex digits, spaces between."""
+    text = bytearray(binascii.hexlify(rows.astype(">f8").tobytes(), b" ", 8))
+    text += b"\n"
+    line = 17 * rows.shape[1]
+    text[line - 1 :: line] = b"\n" * rows.shape[0]
+    return text
 
 
 def save_model(net: Network, path) -> None:
-    """Write ``net`` as a version-2 model file, one row at a time."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\nlayers {len(net.layers)}\n")
+    """Write ``net`` as a version-2 model file, one block of rows at a time."""
+    with open(path, "wb") as fh:
+        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\nlayers {len(net.layers)}\n".encode())
         for index, layer in enumerate(net.layers):
-            fh.write(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}\n")
-            for row in layer.weights:
-                fh.write(_hex_row(row) + "\n")
-            fh.write("bias " + _hex_row(layer.bias) + "\n")
+            header = f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}\n"
+            fh.write(header.encode())
+            step = _rows_per_block(layer.n_in)
+            for lo in range(0, layer.n_out, step):
+                fh.write(_hex_rows(layer.weights[lo : lo + step]))
+            fh.write(b"bias " + _hex_rows(layer.bias[None]))
 
 
 class _LineReader:
-    """Stripped non-blank lines of ``(number, line)`` pairs; ``pos`` numbers the last one read."""
+    """A model file's ``(number, line)`` pairs, numbered as :func:`_numbered_lines` does.
 
-    def __init__(self, path, lines):
+    :meth:`next_line` takes the next non-blank line, stripped, and
+    :meth:`next_rows` a block of weight rows at once; ``pos`` numbers the
+    last line either took.
+    """
+
+    def __init__(self, path, fh):
         self.path = path
-        self.lines = lines
+        self.fh = fh
         self.pos = 0
+        self.taken = 0  # lines handed out so far
+        self.split = deque()  # lines of the last raw line read, not yet handed out
+        self.given_back = io.BytesIO()  # the text of a block that did not decode, to read again
+
+    def _raw_line(self) -> bytes:
+        """The next line as bytes, up to and with its b"\\n" (the file's last may have none)."""
+        line = self.given_back.readline()
+        if not line.endswith(b"\n"):  # a block that did not decode may end inside a line
+            line += self.fh.readline()
+        return line
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[int, str]:
+        while not self.split:
+            chunk = self._raw_line()
+            if not chunk:
+                raise StopIteration
+            self.split.extend(_chunk_lines(self.path, chunk, self.taken, error=ModelFormatError))
+        self.taken += 1
+        return self.taken, self.split.popleft()
 
     def next_line(self, expect: str) -> str:
-        for self.pos, line in self.lines:
+        for self.pos, line in self:
             line = line.strip()
             if line:
                 return line
         raise ModelFormatError(f"{self.path}:{self.pos}: file ended while reading {expect}")
+
+    def next_rows(self, count: int, width: int) -> np.ndarray | None:
+        """The next ``count`` lines as rows of ``width`` values, decoded at once.
+
+        Only lines exactly as :func:`save_model` writes them decode here;
+        for any others this returns None and leaves them to :meth:`next_line`.
+        """
+        if self.split:
+            return None
+        # Each value is 16 hex digits and a space or, at a row's end, a newline.
+        # The separators are compared here and the digits by the decoded length:
+        # fromhex skips whitespace, which leaves fewer bytes.
+        # Any text given back is read by now: rows are at least as long as it.
+        size = 17 * width * count
+        text = self.fh.read(size)
+        values = b""
+        separators = (b" " * (width - 1) + b"\n") * count
+        if len(text) == size and text[16::17] == separators:
+            try:
+                values = bytes.fromhex(text.decode("ascii"))
+            except ValueError:  # a byte that is not ascii, or not a hex digit
+                pass
+        if len(values) != 8 * width * count:
+            self.given_back = io.BytesIO(text)
+            return None
+        self.taken += count
+        self.pos = self.taken
+        return np.frombuffer(values, dtype=">f8").reshape(count, width)
 
     def fail(self, message: str):
         raise ModelFormatError(f"{self.path}:{self.pos}: {message}")
@@ -143,8 +218,8 @@ def _parse_int(reader: _LineReader, token: str, what: str) -> int:
 
 def load_model(path) -> Network:
     """Parse a model file, validating structure before building anything."""
-    with closing(_numbered_lines(path, "ascii", ModelFormatError)) as lines:
-        layers = _read_layers(_LineReader(path, lines))
+    with _open_binary(path) as fh:
+        layers = _read_layers(_LineReader(path, fh))
     try:
         return Network(layers=tuple(layers), input_dim=layers[0].n_in)
     except ValueError as exc:
@@ -189,9 +264,16 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
             weights = np.empty((n_out, n_in))
         except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
             reader.fail(f"a layer of {n_out}x{n_in} weights does not fit in memory")
-        for k in range(n_out):
-            what = f"weight row {k}"
-            weights[k] = parse_row(reader, reader.next_line(what), n_in, what)
+        step = _rows_per_block(n_in)
+        for lo in range(0, n_out, step):
+            hi = min(lo + step, n_out)
+            rows = reader.next_rows(hi - lo, n_in) if parse_row is _parse_hex else None
+            if rows is not None:
+                weights[lo:hi] = rows
+                continue
+            for k in range(lo, hi):
+                what = f"weight row {k}"
+                weights[k] = parse_row(reader, reader.next_line(what), n_in, what)
         weights.setflags(write=False)  # so FcLayer keeps this one copy
         bias_line = reader.next_line("bias line")
         if not bias_line.startswith("bias"):
@@ -201,7 +283,7 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
             layers.append(FcLayer(weights=weights, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:
             reader.fail(str(exc))
-    if any(line.strip() for _, line in reader.lines):
+    if any(line.strip() for _, line in reader):
         reader.fail("unexpected content after the last layer")
     return layers
 

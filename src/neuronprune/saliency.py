@@ -90,6 +90,7 @@ class SimilarityMode(Enum):
     NORMALIZED_HEURISTIC = "heuristic"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing rows give inf, as in the build
 def raw_difference(wi: WeightSet, wj: WeightSet) -> float:
     """Euclidean distance between two weight-sets, bias included."""
     if len(wi) != len(wj):
@@ -98,6 +99,7 @@ def raw_difference(wi: WeightSet, wj: WeightSet) -> float:
     return float(np.sqrt(np.dot(d, d) + db * db))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing rows give inf, as in the build
 def heuristic_similarity(wi: WeightSet, wj: WeightSet) -> float:
     """Scale-insensitive similarity with sensible-sized weight and bias terms.
 
@@ -126,6 +128,7 @@ def heuristic_similarity(wi: WeightSet, wj: WeightSet) -> float:
     return weight_term + bias_term
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing rows give inf, as in the build
 def mean_outgoing_square(next_layer: FcLayer, j: int) -> float:
     """Mean over next-layer neurons of the squared outgoing weight of neuron ``j``."""
     if not 0 <= j < next_layer.n_in:

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from neuronprune import (
     save_model,
 )
 import neuronprune.data
+import neuronprune.model_io as model_io
 
 from conftest import mutate
 
@@ -432,6 +434,136 @@ class TestReaderFuzz:
             import_trace(path, n_original=trace.n_original if width_known else None)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}:")
+
+
+def relayout(text: bytes, kind: str, at: int) -> bytes:
+    """``text`` in a layout ``save_model`` never writes; ``at``, reduced, picks the line."""
+    if kind == "crlf":
+        return text.replace(b"\n", b"\r\n")
+    lines = text.splitlines(keepends=True)
+    at %= len(lines)
+    if kind == "blank":
+        lines.insert(at, b"\n")
+    elif kind == "trailing spaces":
+        lines[at] = lines[at].rstrip(b"\n") + b"  \n"
+    elif kind == "tab":  # refused, as a row must have single spaces between its values
+        lines[at] = lines[at].replace(b" ", b"\t", 1)
+    else:  # uppercase hex digits on every weight row
+        lines = [line.upper() if re.fullmatch(rb"[0-9a-f ]+\n", line) else line for line in lines]
+    return b"".join(lines)
+
+
+def load_or_message(path):
+    """Each layer's activation, weight bytes and bias bytes, or the ``ModelFormatError`` message."""
+    try:
+        net = load_model(path)
+    except ModelFormatError as exc:
+        return str(exc)
+    return [(la.activation, la.weights.tobytes(), la.bias.tobytes()) for la in net.layers]
+
+
+def one_line_at_a_time():
+    """Switch off block decoding, so every weight row takes the per-line reader."""
+    return mock.patch.object(model_io._LineReader, "next_rows", lambda self, count, width: None)
+
+
+def recorded_blocks():
+    """Patch ``next_rows`` to record ``(count, decoded)`` for each block it is asked for."""
+    calls = []
+    real = model_io._LineReader.next_rows
+
+    def recording(self, count, width):
+        rows = real(self, count, width)
+        calls.append((count, rows is not None))
+        return rows
+
+    return calls, mock.patch.object(model_io._LineReader, "next_rows", recording)
+
+
+class TestBlockDecoding:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 7), min_size=3, max_size=4),
+        st.sampled_from(
+            ["truncate", "flip", "drop", "duplicate"]
+            + ["crlf", "blank", "trailing spaces", "tab", "upper"]
+        ),
+        st.integers(0, 10**6),
+        st.integers(1, 255),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=400)
+    def test_any_file_loads_as_it_does_one_line_at_a_time(
+        self, tmp_path_factory, seed, sizes, kind, at, flip, block_bytes
+    ):
+        path = tmp_path_factory.mktemp("blocks") / "model.model"
+        with mock.patch.object(model_io, "_BLOCK_BYTES", block_bytes):  # several blocks a layer
+            save_model(random_net(seed, tuple(sizes)), path)
+            text = path.read_bytes()
+            if kind in ("truncate", "flip", "drop", "duplicate"):
+                text = mutate(text, kind, at, flip)
+            else:
+                text = relayout(text, kind, at)
+            path.write_bytes(text)
+            got = load_or_message(path)
+            with one_line_at_a_time():
+                assert got == load_or_message(path)
+
+    # 4 rows of 3 values a block: rows 0-3, 4-7 and 8-9 of layer 0 are on lines 4-13
+    SMALL_BLOCKS = 17 * 3 * 4
+
+    def test_a_last_block_shorter_than_the_rest_decodes_at_once(self, tmp_path):
+        net = random_net(7, (3, 10, 2))
+        p = tmp_path / "net.model"
+        calls, recording = recorded_blocks()
+        with mock.patch.object(model_io, "_BLOCK_BYTES", self.SMALL_BLOCKS), recording:
+            save_model(net, p)
+            loaded = load_model(p)
+        # layer 1's rows of 10 values are longer than a block, so each is one
+        assert calls == [(4, True), (4, True), (2, True), (1, True), (1, True)]
+        for la, lb in zip(net.layers, loaded.layers):
+            assert la.weights.tobytes() == lb.weights.tobytes()
+
+    def test_a_row_longer_than_a_block_is_a_block_of_its_own(self, tmp_path):
+        width = model_io._BLOCK_BYTES // 17 + 1
+        net = random_net(8, (width, 3, 2))
+        p = tmp_path / "wide.model"
+        save_model(net, p)
+        calls, recording = recorded_blocks()
+        with recording:
+            loaded = load_model(p)
+        assert calls == [(1, True), (1, True), (1, True), (2, True)]
+        assert loaded.layers[0].weights.tobytes() == net.layers[0].weights.tobytes()
+
+    def test_a_block_that_ends_inside_a_line_numbers_lines_as_before(self, tmp_path):
+        # With \r\n endings and one row a block, each block's text ends between
+        # a row's \r and its \n; the \n must not count as a line of its own.
+        p = tmp_path / "net.model"
+        with mock.patch.object(model_io, "_BLOCK_BYTES", 17 * 3):
+            save_model(random_net(7, (3, 10, 2)), p)
+            lines = p.read_bytes().replace(b"\n", b"\r\n").splitlines(keepends=True)
+            lines[3 + 2] = b"g" + lines[3 + 2][1:]
+            p.write_bytes(b"".join(lines))
+            message = f"{p}:6: weight row 2: not 16-digit hexadecimal values"
+            with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+                load_model(p)
+
+    @pytest.mark.parametrize("row,byte,problem", [
+        (4, b"g", "weight row 4: not 16-digit hexadecimal values"),  # first in its block
+        (5, b"g", "weight row 5: not 16-digit hexadecimal values"),  # in the middle
+        (7, b"g", "weight row 7: not 16-digit hexadecimal values"),  # last
+        (6, b"\xc3", "byte 0xc3 is not ascii text"),
+    ])
+    def test_a_bad_row_names_its_own_line(self, tmp_path, row, byte, problem):
+        p = tmp_path / "net.model"
+        with mock.patch.object(model_io, "_BLOCK_BYTES", self.SMALL_BLOCKS):
+            save_model(random_net(7, (3, 10, 2)), p)
+            lines = p.read_bytes().splitlines(keepends=True)
+            lines[3 + row] = lines[3 + row][:20] + byte + lines[3 + row][21:]
+            p.write_bytes(b"".join(lines))
+            message = f"{p}:{4 + row}: {problem}"
+            with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+                load_model(p)
 
 
 class TestTraceCsv:

@@ -175,6 +175,22 @@ class TestMeanOutgoingSquare:
         assert _mean_outgoing_squares(nxt).tobytes() == want.tobytes()
 
 
+class TestScalarFormsOverflowQuietly:
+    def test_overflowing_rows_give_inf_without_a_warning(self):
+        # The matrix build computes these quantities under np.errstate; the
+        # scalar forms agree on rows whose squares pass the largest double.
+        rng = np.random.default_rng(0)
+        layer = FcLayer(rng.normal(size=(4, 3)) * 1e160, np.zeros(4), Activation.RELU)
+        nxt = FcLayer(rng.normal(size=(2, 4)) * 1e200, np.zeros(2), Activation.IDENTITY)
+        wi, wj = layer.weight_set(0), layer.weight_set(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert raw_difference(wi, wj) == math.inf
+            # both norms overflow, so both unit rows are zero and so is the weight term
+            assert heuristic_similarity(wi, wj) == 0.0
+            assert mean_outgoing_square(nxt, 0) == math.inf
+
+
 class TestSaliencyMatrix:
     def test_duplicate_neurons_cost_nothing_either_way(self):
         layer, nxt = seeded_pair_layer(0, n=4)

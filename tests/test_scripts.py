@@ -50,22 +50,26 @@ def test_bench_case_stopped_at_the_timeout_keeps_its_memory_peak():
 
 
 def test_bench_model_io_round_trips_bit_exact(tmp_path):
+    # 512x1024's hidden layer spans many blocks of rows, 64x16's fits in one.
     done = run_script(
-        "bench.py", "model-io", "--shapes", "64x16", "--timeout", "120", "--dir", tmp_path
+        "bench.py", "model-io", "--shapes", "64x16", "512x1024", "--timeout", "120",
+        "--dir", tmp_path,
     )
-    (line,) = done.stdout.splitlines()
-    record = json.loads(line)
-    assert record["timed_out"] is False
-    assert "error" not in record
-    assert record["width"] == 64 and record["fan_in"] == 16
-    assert record["bit_exact"] is True
-    # version 2 writes 17 bytes per value plus the header and the "bias " prefixes
-    values = 64 * 16 + 64 + 10 * 64 + 10
-    assert 17 * values <= record["file_bytes"] < 17 * values + 200
-    assert record["save_s"] > 0 and record["load_s"] > 0
-    assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
-    assert record["load_maxrss_mb"] > 0  # the peak of the process that ran the load
-    assert list(tmp_path.iterdir()) == []  # the model file is cleaned up
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line, (width, fan_in) in zip(lines, [(64, 16), (512, 1024)]):
+        record = json.loads(line)
+        assert record["timed_out"] is False
+        assert "error" not in record
+        assert record["width"] == width and record["fan_in"] == fan_in
+        assert record["bit_exact"] is True
+        # version 2 writes 17 bytes per value plus the header and the "bias " prefixes
+        values = width * fan_in + width + 10 * width + 10
+        assert 17 * values <= record["file_bytes"] < 17 * values + 200
+        assert record["save_s"] > 0 and record["load_s"] > 0
+        assert record["ru_maxrss_mb"] >= record["setup_maxrss_mb"] > 0
+        assert record["load_maxrss_mb"] > 0  # the peak of the process that ran the load
+    assert list(tmp_path.iterdir()) == []  # the model files are cleaned up
 
 
 def test_bench_train_reports_one_digest_per_case():
