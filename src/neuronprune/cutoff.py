@@ -103,8 +103,8 @@ class CutoffReport:
             raise ValueError("predicted_count must be nonnegative")
 
 
-def histogram(trace: PruneTrace, n_bins: int) -> SaliencyHistogram:
-    """Bin the trace's finite saliencies into equal-width bins over [min, max].
+def histogram(trace: PruneTrace) -> SaliencyHistogram:
+    """Bin the trace's finite saliencies into 50 equal-width bins over [min, max].
 
     The rightmost bin includes its upper edge. Inf saliencies (merges
     whose cost overflowed) fall outside every bin. An all-identical
@@ -114,14 +114,12 @@ def histogram(trace: PruneTrace, n_bins: int) -> SaliencyHistogram:
     """
     if len(trace) == 0:
         raise ValueError("cannot histogram an empty trace")
-    if n_bins < 2:
-        raise ValueError("need at least two bins")
     values = trace.saliencies()
     values = values[np.isfinite(values)]
     if len(values) == 0:
         raise ValueError("cannot histogram a trace with no finite saliency")
     degenerate = bool(values.min() == values.max())
-    counts, edges = np.histogram(values, bins=n_bins)
+    counts, edges = np.histogram(values, bins=_DATA_FREE_BINS)
     return SaliencyHistogram(
         bin_edges=edges,
         counts=counts,
@@ -144,7 +142,7 @@ def data_free_cutoff(trace: PruneTrace) -> CutoffReport:
     """
     if not trace.is_full:
         raise ValueError("the data-free rule needs a trace pruned down to one neuron")
-    hist = histogram(trace, _DATA_FREE_BINS)
+    hist = histogram(trace)
     cutoff = hist.mode_value
     if hist.degenerate:
         predicted = 0

@@ -79,6 +79,8 @@ class Dataset:
         if name not in _SPLITS:
             raise ValueError(f"unknown split {name!r}; expected one of {_SPLITS}")
         idx = getattr(self, f"{name}_idx")
+        if len(idx) == 0:
+            raise ValueError(f"{name} split is empty")
         return self.features[idx], self.labels[idx]
 
 
@@ -166,20 +168,20 @@ def _chunk_lines(
         ) from None
 
 
-def _numbered_lines(path, encoding: str = "ascii", error=ValueError, split=str.splitlines):
+def _numbered_lines(path, encoding: str = "ascii", split=str.splitlines):
     """``(line_number, line)`` for each line of ``path``, read one line at a time.
 
     Lines are split by ``split`` and numbered from 1 as it numbers them on
     the whole text, ``str.splitlines`` unless given: each chunk read ends
     at a ``\\n`` byte, which no other ASCII or UTF-8 character contains and
     which ends any ``\\r\\n``, so no character or separator spans two
-    chunks. A byte ``encoding`` cannot decode raises ``error`` at
+    chunks. A byte ``encoding`` cannot decode raises ValueError at
     ``path:line``.
     """
     line_number = 0
     with _open_binary(path) as fh:
         for chunk in fh:
-            for line in _chunk_lines(path, chunk, line_number, encoding, error, split):
+            for line in _chunk_lines(path, chunk, line_number, encoding, split=split):
                 line_number += 1
                 yield line_number, line
 

@@ -283,8 +283,9 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
             layers.append(FcLayer(weights=weights, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:
             reader.fail(str(exc))
-    if any(line.strip() for _, line in reader):
-        reader.fail("unexpected content after the last layer")
+    for reader.pos, line in reader:
+        if line.strip():
+            reader.fail("unexpected content after the last layer")
     return layers
 
 

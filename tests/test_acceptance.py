@@ -231,7 +231,7 @@ def test_criterion_08_data_free_cutoff_stays_near_baseline(acceptance_runs):
             for k, s in enumerate(saliencies)
         ),
     )
-    h = histogram(trace, 50)
+    h = histogram(trace)
     mode_center = float((h.bin_edges[h.mode_bin] + h.bin_edges[h.mode_bin + 1]) / 2)
     assert 1.1 <= mode_center <= 1.3
     print(f"criterion 08 data-free cutoff: PASS "

@@ -45,35 +45,36 @@ def trace_of(saliencies, full=True):
 
 
 class TestHistogram:
-    def test_hand_counted_two_bins(self):
-        h = histogram(trace_of([0.0, 0.0, 0.0, 1.0]), 2)
-        np.testing.assert_array_equal(h.counts, [3, 1])
+    def test_hand_counted_fifty_bins(self):
+        h = histogram(trace_of([0.0, 0.0, 0.0, 0.5, 1.0]))
+        want = np.zeros(50, dtype=int)
+        want[[0, 25, 49]] = [3, 1, 1]  # 0.5 opens bin 25; the last bin holds 1.0
+        np.testing.assert_array_equal(h.counts, want)
+        np.testing.assert_allclose(h.bin_edges, np.arange(51) / 50)
         assert h.mode_bin == 0
         assert not h.degenerate
 
     def test_empty_trace_rejected(self):
         empty = PruneTrace(layer_index=0, n_original=3, steps=())
         with pytest.raises(ValueError):
-            histogram(empty, 10)
-
-    def test_needs_at_least_two_bins(self):
-        with pytest.raises(ValueError):
-            histogram(trace_of([0.0, 1.0]), 1)
+            histogram(empty)
 
     def test_counts_sum_to_trace_length(self):
         rng = np.random.default_rng(0)
         tr = trace_of(rng.exponential(size=64))
-        h = histogram(tr, 12)
+        h = histogram(tr)
         assert h.counts.sum() == len(tr)
 
     def test_identical_values_flagged_degenerate(self):
-        h = histogram(trace_of([0.5, 0.5, 0.5]), 4)
+        h = histogram(trace_of([0.5, 0.5, 0.5]))
         assert h.degenerate
+        np.testing.assert_array_equal(np.nonzero(h.counts)[0], [25])  # numpy widens to [0, 1]
         assert h.counts.sum() == 3
 
     def test_mode_is_first_maximal_bin(self):
-        # two bins tie at 2; the earlier one must win
-        h = histogram(trace_of([0.1, 0.1, 0.9, 0.9]), 2)
+        # the first and last bins tie at 2; the earlier one must win
+        h = histogram(trace_of([0.1, 0.1, 0.9, 0.9]))
+        assert h.counts[0] == h.counts[49] == 2
         assert h.mode_bin == 0
 
     def test_concentrated_mass_plus_spread_tail(self):
@@ -83,7 +84,7 @@ class TestHistogram:
         values = np.concatenate(
             [rng.normal(1.2, 0.05, size=400), rng.uniform(2.0, 6.0, size=100)]
         )
-        h = histogram(trace_of(values), 50)
+        h = histogram(trace_of(values))
         assert 1.1 <= h.mode_value <= 1.3
 
 
@@ -134,7 +135,7 @@ class TestDataFree:
         rng = np.random.default_rng(12)
         tr = trace_of(np.concatenate([rng.normal(1.0, 0.05, 60), rng.uniform(3, 8, 20)]))
         rep = data_free_cutoff(tr)
-        want = histogram(tr, 50)
+        want = histogram(tr)
         assert len(rep.evidence.counts) == 50
         np.testing.assert_array_equal(rep.evidence.bin_edges, want.bin_edges)
         np.testing.assert_array_equal(rep.evidence.counts, want.counts)
@@ -284,9 +285,9 @@ class TestInfSaliencies:
     def test_data_free_bins_only_finite_saliencies(self):
         trace = overflowing_trace()
         finite = trace.saliencies()[:2]
-        h = histogram(trace, 4)
+        h = histogram(trace)
         assert h.counts.sum() == 2
-        np.testing.assert_array_equal(h.bin_edges, np.histogram(finite, bins=4)[1])
+        np.testing.assert_array_equal(h.bin_edges, np.histogram(finite, bins=50)[1])
         rep = data_free_cutoff(trace)
         assert np.isfinite(rep.cutoff_saliency)
         assert rep.predicted_count == np.count_nonzero(finite <= rep.cutoff_saliency)
@@ -294,7 +295,7 @@ class TestInfSaliencies:
 
     def test_trace_without_finite_saliency_is_refused(self):
         trace = trace_of([np.inf, np.inf, np.inf])
-        for rule in (lambda: histogram(trace, 4), lambda: data_free_cutoff(trace)):
+        for rule in (lambda: histogram(trace), lambda: data_free_cutoff(trace)):
             with pytest.raises(ValueError, match="no finite saliency"):
                 rule()
 

@@ -328,12 +328,8 @@ class TestNumberedLines:
             got = str(exc)
         assert got == whole_text_lines(path, encoding)
 
-    def test_raises_the_given_error_type(self, tmp_path):
+    def test_names_the_line_of_the_bad_byte(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"ok\r\n\x0bstill ok\n\xc3\xa9\n")  # \v ends line 2
-
-        class Custom(ValueError):
-            pass
-
-        with pytest.raises(Custom, match=f"^{re.escape(str(path))}:4: byte 0xc3 is not ascii text$"):
-            list(_numbered_lines(path, "ascii", Custom))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: byte 0xc3 is not ascii text$"):
+            list(_numbered_lines(path, "ascii"))

@@ -365,6 +365,13 @@ class TestModelErrors:
         with pytest.raises(ModelFormatError):
             load_model(p)
 
+    def test_trailing_content_names_its_own_line(self, tmp_path):
+        p = tmp_path / "extra.model"
+        p.write_text(GOLDEN_221_V2 + "  \nleftover 1 2 3\n")  # lines 10 and 11
+        message = f"^{re.escape(str(p))}:11: unexpected content after the last layer$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(p)
+
     def test_errors_carry_file_and_line_context(self, tmp_path):
         p = tmp_path / "ctx.model"
         p.write_text(GOLDEN_221.replace("bias 0.75", "bias"))
