@@ -211,15 +211,10 @@ def data_driven_cutoff(
     if not trace.is_full:
         raise ValueError("the data-driven rule needs a trace pruned down to one neuron")
     total = len(trace)
-    measured: dict[int, float] = {}
-    calls = 0
+    measured: dict[int, float] = {}  # one oracle call per entry
 
     def measure(step: int) -> float:
-        nonlocal calls
         if step not in measured:
-            if calls >= budget:
-                raise RuntimeError("oracle budget exceeded")  # guarded by callers
-            calls += 1
             measured[step] = float(error_oracle(step))
         return measured[step]
 
@@ -232,7 +227,7 @@ def data_driven_cutoff(
     levels = np.linspace(0.0, 1.0, n_sweep + 1)[1:]
     sweep_steps = sorted({int(np.searchsorted(mass, level) + 1) for level in levels} | {total})
     for step in sweep_steps:
-        if calls >= budget:
+        if len(measured) >= budget:
             break
         measure(step)
 
@@ -241,7 +236,7 @@ def data_driven_cutoff(
     higher_bad = [s for s, e in measured.items() if s > best_ok and e > threshold]
     first_bad = min(higher_bad) if higher_bad else None
 
-    while first_bad is not None and first_bad - best_ok > 1 and calls < budget:
+    while first_bad is not None and first_bad - best_ok > 1 and len(measured) < budget:
         mid = (best_ok + first_bad) // 2
         if measure(mid) <= threshold:
             best_ok = mid

@@ -15,11 +15,12 @@ reading a value costs a hex decode instead of a decimal parse. Layout::
     bias <n_out values>
     ... repeated per layer ...
 
-Values on a line are separated by single spaces. Version 1 files, the
-same layout with decimal values, still load; only version 2 is written.
-Weight rows are written, and read back, a block of rows at a time; rows
-not exactly as :func:`save_model` writes them are read one line at a
-time, so they load, or fail at ``path:line``, as they always did.
+Values on a line are separated by single spaces. Only version 2 is read:
+a file of any other version, the decimal version 1 included, fails at its
+header line with :class:`ModelVersionError`. Weight rows are written, and
+read back, a block of rows at a time; rows not exactly as
+:func:`save_model` writes them are read one line at a time, so they load,
+or fail at ``path:line``, as they always did.
 
 Traces and curves stay decimal: floats are printed at 17 significant
 digits, enough to reproduce any double exactly on reload. Cutoff
@@ -182,16 +183,6 @@ class _LineReader:
         raise ModelFormatError(f"{self.path}:{self.pos}: {message}")
 
 
-def _parse_floats(reader: _LineReader, line: str, count: int, what: str) -> np.ndarray:
-    parts = line.split()
-    if len(parts) != count:
-        reader.fail(f"{what}: expected {count} values, found {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError:
-        reader.fail(f"{what}: not a decimal number")
-
-
 def _parse_hex(reader: _LineReader, line: str, count: int, what: str) -> np.ndarray:
     if len(line) != 17 * count - 1 or line[16::17] != " " * (count - 1):
         reader.fail(f"{what}: expected {count} values of 16 hex digits, single spaces between")
@@ -203,10 +194,6 @@ def _parse_hex(reader: _LineReader, line: str, count: int, what: str) -> np.ndar
     if len(raw) != 8 * count:
         reader.fail(f"{what}: not 16-digit hexadecimal values")
     return np.frombuffer(raw, dtype=">f8")
-
-
-# Row parser per readable format version.
-_ROW_PARSERS = {1: _parse_floats, 2: _parse_hex}
 
 
 def _parse_int(reader: _LineReader, token: str, what: str) -> int:
@@ -232,12 +219,10 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         reader.fail(f"not a {MODEL_MAGIC} file")
     version = _parse_int(reader, magic[1], "format version")
-    parse_row = _ROW_PARSERS.get(version)
-    if parse_row is None:
-        readable = " and ".join(str(v) for v in _ROW_PARSERS)
+    if version != MODEL_VERSION:
         raise ModelVersionError(
             f"{reader.path}:{reader.pos}: format version {version} unsupported"
-            f" (this reader handles {readable})"
+            f" (this reader handles {MODEL_VERSION})"
         )
     header = reader.next_line("layer count").split()
     if len(header) != 2 or header[0] != "layers":
@@ -267,18 +252,18 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
         step = _rows_per_block(n_in)
         for lo in range(0, n_out, step):
             hi = min(lo + step, n_out)
-            rows = reader.next_rows(hi - lo, n_in) if parse_row is _parse_hex else None
+            rows = reader.next_rows(hi - lo, n_in)
             if rows is not None:
                 weights[lo:hi] = rows
                 continue
             for k in range(lo, hi):
                 what = f"weight row {k}"
-                weights[k] = parse_row(reader, reader.next_line(what), n_in, what)
+                weights[k] = _parse_hex(reader, reader.next_line(what), n_in, what)
         weights.setflags(write=False)  # so FcLayer keeps this one copy
         bias_line = reader.next_line("bias line")
         if not bias_line.startswith("bias"):
             reader.fail("expected a 'bias' line after the weight rows")
-        bias = parse_row(reader, bias_line[4:].strip(), n_out, "bias")
+        bias = _parse_hex(reader, bias_line[4:].strip(), n_out, "bias")
         try:
             layers.append(FcLayer(weights=weights, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:

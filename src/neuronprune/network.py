@@ -22,12 +22,11 @@ the error curve and the removal bound on a prefix or a tail of it.
 Every neuron removal goes through one edit, ``_LayerEdit``: it records
 removals from one hidden layer on a live mask (by original index) and one
 copy of the next layer's weights, whose columns receive the merges, and
-builds the pruned ``Network`` once, on demand. :func:`delete_neuron` and
-:func:`merge_neurons` are single removals on it; the pruning loop, trace
-replay and the incremental error curve apply many removals to one edit,
-and the error curve builds no network at all: it reads the removed
-neuron's outgoing column from the edit and updates cached next-layer
-pre-activations by a rank-one term.
+builds the pruned ``Network`` once, on demand. :func:`merge_neurons` is a
+single removal on it; the pruning loop, trace replay and the incremental
+error curve apply many removals to one edit, and the error curve builds
+no network at all: it reads the removed neuron's outgoing column from the
+edit and updates cached next-layer pre-activations by a rank-one term.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ __all__ = [
     "WeightSet",
     "FcLayer",
     "Network",
-    "RescaleResult",
     "forward_batch",
-    "rescale_relu_layer",
-    "delete_neuron",
     "merge_neurons",
     "param_count",
     "layer_sizes",
@@ -220,46 +216,6 @@ def _run_layers(layers, A: np.ndarray) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class RescaleResult:
-    """Outcome of a homogeneity rescale.
-
-    ``scales`` holds the factor applied to each neuron (1.0 where nothing
-    was applied). ``skipped`` lists zero-norm rows that were left alone:
-    the rescale is undefined there, and such a neuron computes a constant,
-    which makes it a prime removal candidate for the pruner.
-    """
-
-    network: Network
-    scales: np.ndarray
-    skipped: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "scales", _frozen_array(self.scales))
-
-
-def rescale_relu_layer(net: Network, layer_index: int) -> RescaleResult:
-    """Scale each weight row of a ReLU layer to unit norm, preserving the function.
-
-    ReLU is positively homogeneous (``max(0, a*x) == a*max(0, x)`` for
-    ``a > 0``), so dividing a neuron's entire pre-activation (weights and
-    bias) by the row norm and multiplying that norm into the neuron's
-    outgoing column leaves the network function unchanged.
-    """
-    _check_hidden_layer(net, layer_index)
-    layer = net.layers[layer_index]
-    if layer.activation is not Activation.RELU:
-        raise ValueError("homogeneity rescaling is only valid for relu layers")
-    norms = np.linalg.norm(layer.weights, axis=1)
-    skipped = tuple(int(i) for i in np.flatnonzero(norms == 0.0))
-    scales = np.where(norms == 0.0, 1.0, norms)
-    new_layer = FcLayer(layer.weights / scales[:, None], layer.bias / scales, layer.activation)
-    nxt = net.layers[layer_index + 1]
-    new_next = FcLayer(nxt.weights * scales[None, :], nxt.bias, nxt.activation)
-    rescaled = net.replace_adjacent(layer_index, new_layer, new_next)
-    return RescaleResult(network=rescaled, scales=scales, skipped=skipped)
-
-
 def _check_hidden_layer(net: Network, layer_index: int) -> None:
     if not 0 <= layer_index < len(net.layers) - 1:
         raise ValueError(
@@ -322,21 +278,6 @@ class _LayerEdit:
             FcLayer(weights, layer.bias[live], layer.activation),
             FcLayer(next_weights, nxt.bias, nxt.activation),
         )
-
-
-def delete_neuron(net: Network, layer_index: int, j: int) -> Network:
-    """Remove neuron ``j`` from a hidden layer.
-
-    Drops row ``j`` and bias ``j`` from the layer and column ``j`` from the
-    next layer, so all dimensions stay consistent.
-    """
-    edit = _LayerEdit(net, layer_index)
-    layer = net.layers[layer_index]
-    _check_neuron(layer, j)
-    if layer.n_out < 2:
-        raise ValueError("cannot delete the last neuron of a layer")
-    edit.remove(j)
-    return edit.network()
 
 
 def merge_neurons(net: Network, layer_index: int, kept: int, removed: int) -> Network:

@@ -66,14 +66,12 @@ from .network import (
 __all__ = [
     "SimilarityMode",
     "SaliencyMatrix",
-    "ContractionReport",
     "BoundSample",
     "DIAGONAL_SENTINEL",
     "raw_difference",
     "heuristic_similarity",
     "mean_outgoing_square",
     "build_saliency_matrix",
-    "verify_contraction",
     "verify_bound",
 ]
 
@@ -591,47 +589,6 @@ class _CertifiedCosts:
             s = self.score(a, b)
             self.sim_sq[a, b] = self.sim_sq[b, a] = s * s
         self.exact[lo, hi] = self.exact[hi, lo] = True
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Sampled check that an activation never expands squared differences."""
-
-    activation: Activation
-    n_samples: int
-    violations: int
-    max_squared_ratio: float
-
-
-def verify_contraction(
-    activation: Activation,
-    n_samples: int,
-    sample_range: float,
-    seed: int = 0,
-) -> ContractionReport:
-    """Sample pairs (p, q) and count violations of (h(p)-h(q))^2 <= (p-q)^2.
-
-    Holds for any monotonically increasing activation with derivative at
-    most one, so the count must come back zero for ReLU and sigmoid.
-    """
-    if activation not in (Activation.RELU, Activation.SIGMOID):
-        raise ValueError("contraction check applies to relu and sigmoid only")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(-sample_range, sample_range, n_samples)
-    q = rng.uniform(-sample_range, sample_range, n_samples)
-    lhs = (activation.apply(p) - activation.apply(q)) ** 2
-    rhs = (p - q) ** 2
-    violations = int(np.count_nonzero(lhs > rhs))
-    positive = rhs > 0
-    ratio = float((lhs[positive] / rhs[positive]).max()) if positive.any() else 0.0
-    return ContractionReport(
-        activation=activation,
-        n_samples=n_samples,
-        violations=violations,
-        max_squared_ratio=ratio,
-    )
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,25 @@ def _accuracy_and_error(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     return accuracy, 100.0 - accuracy
 
 
+def _checked_split(net: Network, ds: Dataset, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """One split's rows, checked as ``net``'s inputs, and its labels.
+
+    Raises ValueError when a label names a class the network has no
+    output for: argmax predictions could never match it, so an error
+    measured on it would count the mismatch of the data, not the net.
+    """
+    x, y = ds.split(split)
+    if y.max() >= net.output_dim:
+        raise ValueError(
+            f"{split} split has label {int(y.max())}, but the network has only"
+            f" {net.output_dim} outputs"
+        )
+    return _checked_batch(net, x), y
+
+
 def evaluate(net: Network, ds: Dataset, split: str = "test") -> tuple[float, float]:
     """Accuracy and error of argmax predictions on one split, in percent."""
-    x, y = ds.split(split)
+    x, y = _checked_split(net, ds, split)
     return _accuracy_and_error(forward_batch(net, x), y)
 
 
@@ -237,10 +253,10 @@ def trace_error_curve(
     """
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    x, y = ds.split(split)
+    x, y = _checked_split(net, ds, split)
     return [
         (done, _accuracy_and_error(logits, y)[1])
-        for done, logits in _trace_logits(net, trace, _checked_batch(net, x), eval_every)
+        for done, logits in _trace_logits(net, trace, x, eval_every)
     ]
 
 

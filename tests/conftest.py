@@ -116,6 +116,22 @@ def widen(net, wide, seed):
     )
 
 
+def relu_rescaled(net):
+    """``net`` with each first-layer neuron scaled to a unit weight row: the same function.
+
+    ReLU is positively homogeneous, so dividing a neuron's weights and
+    bias by its row norm and multiplying its outgoing column by that norm
+    changes the outputs only by rounding.
+    """
+    layer, nxt = net.layers[:2]
+    norms = np.linalg.norm(layer.weights, axis=1)
+    return net.replace_adjacent(
+        0,
+        npr.FcLayer(layer.weights / norms[:, None], layer.bias / norms, layer.activation),
+        npr.FcLayer(nxt.weights * norms, nxt.bias, nxt.activation),
+    )
+
+
 def record_scored_pairs(monkeypatch):
     """Wrap the exact pair scorer; the returned list gets one (low, high) entry per score."""
     scored = []

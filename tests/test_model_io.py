@@ -36,19 +36,7 @@ import neuronprune.model_io as model_io
 
 from conftest import mutate
 
-GOLDEN_221 = """\
-neuronprune-model 1
-layers 2
-layer 0 relu 2 2
-0.5 -0.25
-1.5 2
-bias 0.125 -1
-layer 1 identity 2 1
-3 -0.5
-bias 0.75
-"""
-
-# GOLDEN_221 in format version 2: each value's big-endian float64 bits in hex.
+# A 2-2-1 network in format version 2: each value's big-endian float64 bits in hex.
 GOLDEN_221_V2 = """\
 neuronprune-model 2
 layers 2
@@ -169,29 +157,17 @@ class TestStreamingLoad:
         assert len(opened) == 1 and opened[0].closed
 
 
-def _reference_lines(net, version, fmt):
-    lines = [f"neuronprune-model {version}", f"layers {len(net.layers)}"]
-    for index, layer in enumerate(net.layers):
-        lines.append(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}")
-        for row in layer.weights:
-            lines.append(" ".join(fmt(v) for v in row))
-        lines.append("bias " + " ".join(fmt(v) for v in layer.bias))
-    return "\n".join(lines) + "\n"
-
-
-def reference_save(net, path):
-    """A format-version-1 writer: one ``format(v, ".17g")`` per value."""
-    text = _reference_lines(net, 1, lambda v: format(float(v), ".17g"))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
 def reference_save_v2(net, path):
     """The writer ``save_model`` must match byte for byte: one
     ``struct.pack(">d", v).hex()`` per value, lines joined once at the end."""
-    text = _reference_lines(net, 2, lambda v: struct.pack(">d", float(v)).hex())
+    lines = ["neuronprune-model 2", f"layers {len(net.layers)}"]
+    for index, layer in enumerate(net.layers):
+        lines.append(f"layer {index} {layer.activation.value} {layer.n_in} {layer.n_out}")
+        for row in layer.weights:
+            lines.append(" ".join(struct.pack(">d", float(v)).hex() for v in row))
+        lines.append("bias " + " ".join(struct.pack(">d", float(v)).hex() for v in layer.bias))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
 
 
 class TestWriterBytes:
@@ -221,37 +197,22 @@ class TestWriterBytes:
         save_model(net, ours)
         reference_save_v2(net, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
-        v1 = tmp_path / "v1.model"
-        reference_save(net, v1)
-        for path in (ours, v1):
-            loaded = load_model(path)
-            for la, lb in zip(net.layers, loaded.layers):
-                assert la.weights.tobytes() == lb.weights.tobytes()
-                assert la.bias.tobytes() == lb.bias.tobytes()
+        loaded = load_model(ours)
+        for la, lb in zip(net.layers, loaded.layers):
+            assert la.weights.tobytes() == lb.weights.tobytes()
+            assert la.bias.tobytes() == lb.bias.tobytes()
 
 
 class TestGoldenFile:
     def test_save_reproduces_golden_bytes(self, tmp_path):
-        # a version-1 file is rewritten as version 2; version 2 reproduces itself
-        for golden in (GOLDEN_221, GOLDEN_221_V2):
-            src, out = tmp_path / "golden.model", tmp_path / "again.model"
-            src.write_text(golden)
-            save_model(load_model(src), out)
-            assert out.read_bytes() == GOLDEN_221_V2.encode("ascii")
-
-    def test_both_versions_load_to_the_same_network(self, tmp_path):
-        v1, v2 = tmp_path / "v1.model", tmp_path / "v2.model"
-        v1.write_text(GOLDEN_221)
-        v2.write_text(GOLDEN_221_V2)
-        a, b = load_model(v1), load_model(v2)
-        for la, lb in zip(a.layers, b.layers):
-            assert la.activation is lb.activation
-            assert la.weights.tobytes() == lb.weights.tobytes()
-            assert la.bias.tobytes() == lb.bias.tobytes()
+        src, out = tmp_path / "golden.model", tmp_path / "again.model"
+        src.write_text(GOLDEN_221_V2)
+        save_model(load_model(src), out)
+        assert out.read_bytes() == GOLDEN_221_V2.encode("ascii")
 
     def test_minimal_model_loads_to_documented_layout(self, tmp_path):
         p = tmp_path / "tiny.model"
-        p.write_text(GOLDEN_221)
+        p.write_text(GOLDEN_221_V2)
         net = load_model(p)
         assert net.input_dim == 2
         first, out = net.layers
@@ -268,20 +229,9 @@ class TestGoldenFile:
 
 class TestModelErrors:
     def test_truncated_file_is_a_parse_error(self, tmp_path):
-        net = random_net(5)
+        # Every value has a fixed width, so a cut at any byte that drops
+        # more than the final newline is caught.
         p = tmp_path / "full.model"
-        reference_save(net, p)
-        text = p.read_text()
-        # version 1: cuts at token or line boundaries; a cut inside a number's
-        # digits is indistinguishable from a shorter decimal literal
-        cuts = (len(text) // 3, len(text) // 2, text.rfind(" "), text.rstrip().rfind("\n"))
-        for cut in cuts:
-            q = tmp_path / "cut.model"
-            q.write_text(text[:cut])
-            with pytest.raises(ModelFormatError):
-                load_model(q)
-        # version 2: every value has a fixed width, so a cut at any byte that
-        # drops more than the final newline is caught
         save_model(random_net(5, (3, 2, 2), Activation.RELU), p)
         text = p.read_text()
         for cut in range(len(text.rstrip())):
@@ -305,20 +255,18 @@ class TestModelErrors:
 
     def test_version_bump_is_a_distinct_error(self, tmp_path):
         p = tmp_path / "v9.model"
-        p.write_text(GOLDEN_221.replace("neuronprune-model 1", "neuronprune-model 9"))
+        p.write_text(GOLDEN_221_V2.replace("neuronprune-model 2", "neuronprune-model 9"))
         with pytest.raises(ModelVersionError):
             load_model(p)
         assert issubclass(ModelVersionError, ModelFormatError)
 
-    def test_version_error_names_both_readable_versions(self, tmp_path):
-        for version, golden in ((1, GOLDEN_221), (2, GOLDEN_221_V2)):
-            p = tmp_path / f"v{version}.model"
-            p.write_text(golden)
-            assert load_model(p).input_dim == 2
-        p = tmp_path / "v9.model"
-        p.write_text(GOLDEN_221_V2.replace("neuronprune-model 2", "neuronprune-model 9"))
-        message = f"{p}:1: format version 9 unsupported (this reader handles 1 and 2)"
-        with pytest.raises(ModelVersionError, match=re.escape(message)):
+    @pytest.mark.parametrize("version", [1, 9])
+    def test_version_error_names_the_readable_version(self, tmp_path, version):
+        # Version 1, decimal values in the same layout, is refused at its header.
+        p = tmp_path / f"v{version}.model"
+        p.write_text("neuronprune-model %d\nlayers 2\nlayer 0 relu 2 2\n0.5 -0.25\n" % version)
+        message = f"{p}:1: format version {version} unsupported (this reader handles 2)"
+        with pytest.raises(ModelVersionError, match=f"^{re.escape(message)}$"):
             load_model(p)
 
     @pytest.mark.parametrize("row,reason", [
@@ -339,30 +287,33 @@ class TestModelErrors:
 
     def test_unknown_magic_rejected(self, tmp_path):
         p = tmp_path / "alien.model"
-        p.write_text(GOLDEN_221.replace("neuronprune-model", "other-format"))
-        with pytest.raises(ModelFormatError):
+        p.write_text(GOLDEN_221_V2.replace("neuronprune-model", "other-format"))
+        message = f"{p}:1: not a neuronprune-model file"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             load_model(p)
 
     def test_row_count_mismatch_rejected(self, tmp_path):
-        broken = GOLDEN_221.replace("layer 0 relu 2 2", "layer 0 relu 2 3")
+        broken = GOLDEN_221_V2.replace("layer 0 relu 2 2", "layer 0 relu 2 3")
         p = tmp_path / "rows.model"
         p.write_text(broken)
-        with pytest.raises(ModelFormatError):
+        message = f"{p}:6: weight row 2: expected 2 values of 16 hex digits"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}"):
             load_model(p)
 
     def test_inconsistent_widths_rejected(self, tmp_path):
-        broken = GOLDEN_221.replace("layer 1 identity 2 1", "layer 1 identity 3 1").replace(
-            "3 -0.5", "3 -0.5 1"
+        broken = GOLDEN_221_V2.replace("layer 1 identity 2 1", "layer 1 identity 3 1").replace(
+            "4008000000000000 bfe0000000000000", "4008000000000000 bfe0000000000000 0" + "0" * 15
         )
         p = tmp_path / "widths.model"
         p.write_text(broken)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(f'{p}: inconsistent layers: ')}"):
             load_model(p)
 
     def test_trailing_content_rejected(self, tmp_path):
         p = tmp_path / "extra.model"
-        p.write_text(GOLDEN_221 + "leftover 1 2 3\n")
-        with pytest.raises(ModelFormatError):
+        p.write_text(GOLDEN_221_V2 + "leftover 1 2 3\n")
+        message = f"{p}:10: unexpected content after the last layer"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             load_model(p)
 
     def test_trailing_content_names_its_own_line(self, tmp_path):
@@ -374,11 +325,10 @@ class TestModelErrors:
 
     def test_errors_carry_file_and_line_context(self, tmp_path):
         p = tmp_path / "ctx.model"
-        p.write_text(GOLDEN_221.replace("bias 0.75", "bias"))
-        with pytest.raises(ModelFormatError) as exc:
+        p.write_text(GOLDEN_221_V2.replace("bias 3fe8000000000000", "bias"))
+        message = f"{p}:9: bias: expected 1 values of 16 hex digits"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}"):
             load_model(p)
-        assert "ctx.model" in str(exc.value)
-        assert ":" in str(exc.value)
 
 
 def random_trace(seed):
@@ -403,7 +353,6 @@ def random_trace(seed):
 
 class TestReaderFuzz:
     @given(
-        st.sampled_from([1, 2]),
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 3), min_size=3, max_size=4),
         st.sampled_from(["truncate", "flip", "drop", "duplicate"]),
@@ -412,10 +361,10 @@ class TestReaderFuzz:
     )
     @settings(max_examples=400)
     def test_damaged_file_loads_or_names_its_path(
-        self, tmp_path_factory, version, seed, sizes, kind, at, flip
+        self, tmp_path_factory, seed, sizes, kind, at, flip
     ):
         path = tmp_path_factory.mktemp("fuzz") / "damaged.model"
-        (save_model if version == 2 else reference_save)(random_net(seed, tuple(sizes)), path)
+        save_model(random_net(seed, tuple(sizes)), path)
         path.write_bytes(mutate(path.read_bytes(), kind, at, flip))
         try:
             load_model(path)

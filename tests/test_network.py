@@ -11,15 +11,17 @@ from neuronprune import (
     Activation,
     FcLayer,
     Network,
+    PruneStep,
+    PruneTrace,
     WeightSet,
-    delete_neuron,
     forward_batch,
     layer_sizes,
     merge_neurons,
     param_count,
-    rescale_relu_layer,
+    replay_trace,
 )
 from neuronprune.network import _sigmoid
+from conftest import relu_rescaled
 
 
 def seeded_net(seed, d_in=5, hidden=7, d_out=3, activation=Activation.RELU):
@@ -204,7 +206,7 @@ class TestStructureHelpers:
 class TestDeleteNeuron:
     def test_removes_row_and_column(self):
         net = seeded_net(4, hidden=6)
-        smaller = delete_neuron(net, 0, 2)
+        smaller = replay_trace(net, PruneTrace(0, 6, (PruneStep(1, 2, 0.0),)))
         assert layer_sizes(smaller) == (5, 5, 3)
         np.testing.assert_array_equal(
             smaller.layers[0].weights, np.delete(net.layers[0].weights, 2, axis=0)
@@ -212,21 +214,6 @@ class TestDeleteNeuron:
         np.testing.assert_array_equal(
             smaller.layers[1].weights, np.delete(net.layers[1].weights, 2, axis=1)
         )
-
-    def test_rejects_out_of_range(self):
-        net = seeded_net(5)
-        with pytest.raises(ValueError):
-            delete_neuron(net, 0, net.layers[0].n_out)
-
-    def test_rejects_emptying_a_layer(self):
-        net = seeded_net(5, hidden=1)
-        with pytest.raises(ValueError):
-            delete_neuron(net, 0, 0)
-
-    def test_rejects_output_layer(self):
-        net = seeded_net(5)
-        with pytest.raises(ValueError):
-            delete_neuron(net, 1, 0)
 
 
 class TestMergeNeurons:
@@ -262,43 +249,14 @@ class TestMergeNeurons:
 
 
 class TestRescale:
-    def test_incoming_rows_become_unit_norm(self):
-        net = seeded_net(8, hidden=6)
-        res = rescale_relu_layer(net, 0)
-        rows = res.network.layers[0].weights
-        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
-        assert res.skipped == ()
-
     def test_forward_deviation_stays_tiny(self):
         rng = np.random.default_rng(88)
         for seed in range(5):
             net = seeded_net(200 + seed, d_in=6, hidden=9, d_out=4)
-            res = rescale_relu_layer(net, 0)
+            rescaled = relu_rescaled(net)
             xs = rng.normal(size=(1000, 6))
-            gap = np.abs(forward_batch(res.network, xs) - forward_batch(net, xs))
+            gap = np.abs(forward_batch(rescaled, xs) - forward_batch(net, xs))
             assert gap.max() <= 1e-9
-
-    def test_zero_weight_neuron_skipped_with_unit_scale(self):
-        net = seeded_net(9, hidden=4)
-        w = net.layers[0].weights.copy()
-        b = net.layers[0].bias.copy()
-        w[1] = 0.0
-        b[1] = 0.5
-        net = Network((FcLayer(w, b, Activation.RELU), net.layers[1]), net.input_dim)
-        res = rescale_relu_layer(net, 0)
-        assert res.skipped == (1,)
-        assert res.scales[1] == 1.0
-        np.testing.assert_array_equal(res.network.layers[0].weights[1], w[1])
-
-    def test_only_relu_layers_qualify(self):
-        net = seeded_net(10, activation=Activation.SIGMOID)
-        with pytest.raises(ValueError):
-            rescale_relu_layer(net, 0)
-
-    def test_output_layer_rejected(self):
-        net = seeded_net(10)
-        with pytest.raises(ValueError):
-            rescale_relu_layer(net, 1)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0.1, 4.0))

@@ -1,7 +1,11 @@
 """Removal loop, baseline policies, traces, and compression arithmetic."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ from neuronprune import (
     TrainConfig,
     build_saliency_matrix,
     compression_percent,
-    delete_neuron,
     forward_batch,
     layer_sizes,
     make_blobs,
@@ -36,7 +39,7 @@ from neuronprune import (
     train,
     verify_bound,
 )
-from neuronprune.model_io import export_trace, import_trace
+from neuronprune.model_io import export_trace, import_trace, save_model
 from neuronprune.network import _LayerEdit
 from neuronprune.saliency import _cheapest, _column_minima
 from conftest import awkward_layer, record_scored_pairs, widen
@@ -307,7 +310,7 @@ class TestPruneLayer:
             scores = incoming * outgoing
             k = int(np.argmin(scores))
             assert step == PruneStep(step.step_number, alive.pop(k), float(scores[k]))
-            net = delete_neuron(net, 0, k)
+            net = replay_trace(net, PruneTrace(0, layer.n_out, (PruneStep(1, k, 0.0),)))
         assert len(trace) == count
         assert same_network(pruned, net)  # both C order, whatever the input's order
 
@@ -505,7 +508,7 @@ class TestReplayTrace:
         folded[:, 1] += folded[:, 4]
         trace = PruneTrace(0, 6, (PruneStep(1, 4, 0.0, kept=1), PruneStep(2, 0, 0.0)))
         for edited, dropped, next_weights in (
-            (delete_neuron(net, 0, 4), [4], a),
+            (replay_trace(net, PruneTrace(0, 6, (PruneStep(1, 4, 0.0),))), [4], a),
             (merge_neurons(net, 0, kept=1, removed=4), [4], folded),
             (replay_trace(net, trace, 1), [4], folded),
             (replay_trace(net, trace), [0, 4], folded),
@@ -526,7 +529,7 @@ class TestReplayTrace:
     def test_replay_rejects_width_mismatch(self):
         net = seeded_net(20, hidden=8)
         _, trace = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
-        smaller = delete_neuron(net, 0, 0)
+        smaller = replay_trace(net, PruneTrace(0, 8, (PruneStep(1, 0, 0.0),)))
         with pytest.raises(ValueError):
             replay_trace(smaller, trace)
 
@@ -999,6 +1002,45 @@ class TestNet2NetRoundTrip:
         assert saliencies[96] > 0.0
         gap = forward_batch(replay_trace(wide, trace, 96), x) - forward_batch(net, x)
         assert np.max(np.abs(gap)) <= 1e-13
+
+
+# Prunes the model file it is given to one neuron in each mode and prints
+# one digest of every step's kept, removed and saliency bits.
+PRUNE_DIGEST = """
+import hashlib, sys
+import neuronprune as npr
+net = npr.load_model(sys.argv[1])
+digest = hashlib.sha256()
+for mode in npr.SimilarityMode:
+    policy = npr.PrunePolicy(npr.PolicyKind.SALIENCY_SURGERY)
+    _, trace = npr.prune_layer(net, 0, net.layers[0].n_out - 1, policy, mode)
+    for step in trace.steps:
+        digest.update(f"{step.kept} {step.removed} {step.saliency.hex()}\\n".encode())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_thread_count_changes_no_trace(self, tmp_path):
+        # The certified bounds come from a BLAS Gram product, whose blocking
+        # and summation order change with the thread count; their margin
+        # must cover that, so the exact scores and the trace stay the same.
+        model = tmp_path / "near-twins.model"
+        save_model(near_twin_net(5, n_in=1024, width=768, copies=1), model)
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            env.update(dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads
+            ))
+            done = subprocess.run(
+                [sys.executable, "-c", PRUNE_DIGEST, str(model)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 class TestCompressionArithmetic:

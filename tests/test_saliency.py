@@ -30,7 +30,6 @@ from neuronprune import (
     raw_difference,
     heuristic_similarity,
     verify_bound,
-    verify_contraction,
 )
 
 from neuronprune.saliency import _mean_outgoing_squares, _sim_sq_lower_bounds
@@ -822,28 +821,30 @@ class TestStorage:
             )
 
 
+def squared_differences(activation, p, q):
+    """``(h(p) - h(q))**2`` and ``(p - q)**2``: an activation never makes the first larger."""
+    return (activation.apply(p) - activation.apply(q)) ** 2, (p - q) ** 2
+
+
 class TestContraction:
     def test_relu_hand_check(self):
         assert (max(3.0, 0.0) - max(-2.0, 0.0)) ** 2 <= (3.0 - (-2.0)) ** 2
-        rep = verify_contraction(Activation.RELU, 100, 5.0, seed=3)
-        assert rep.violations == 0
+        rng = np.random.default_rng(3)
+        lhs, rhs = squared_differences(Activation.RELU, *rng.uniform(-5.0, 5.0, (2, 100)))
+        assert np.all(lhs <= rhs)
 
     def test_equal_points_are_the_boundary_case(self):
-        rep = verify_contraction(Activation.SIGMOID, 1, 0.0, seed=0)
-        assert rep.violations == 0
+        lhs, rhs = squared_differences(Activation.SIGMOID, np.zeros(1), np.zeros(1))
+        assert lhs == rhs == 0.0
 
     def test_large_sample_zero_violations_both_activations(self):
         t0 = time.perf_counter()
         for act in (Activation.RELU, Activation.SIGMOID):
-            rep = verify_contraction(act, 10**5, 20.0, seed=42)
-            assert rep.n_samples == 10**5
-            assert rep.violations == 0
-            assert rep.max_squared_ratio <= 1.0 + 1e-12
+            rng = np.random.default_rng(42)
+            lhs, rhs = squared_differences(act, *rng.uniform(-20.0, 20.0, (2, 10**5)))
+            assert np.all(lhs <= rhs)
+            assert (lhs[rhs > 0] / rhs[rhs > 0]).max() <= 1.0 + 1e-12
         assert time.perf_counter() - t0 < 1.0
-
-    def test_identity_activation_rejected(self):
-        with pytest.raises(ValueError):
-            verify_contraction(Activation.IDENTITY, 10, 1.0)
 
 
 class TestOutputGapBound:

@@ -11,6 +11,8 @@ from neuronprune import (
     Network,
     PolicyKind,
     PrunePolicy,
+    PruneStep,
+    PruneTrace,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -19,12 +21,11 @@ from neuronprune import (
     merge_neurons,
     prune_layer,
     replay_trace,
-    rescale_relu_layer,
     trace_error_curve,
     train,
 )
 from neuronprune.training import _init_params, _trace_logits
-from conftest import mean_curve
+from conftest import mean_curve, relu_rescaled
 
 
 def tiny_dataset(n=24, d=3, n_classes=2, seed=0):
@@ -268,6 +269,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(net, ds)
 
+    def test_label_without_an_output_rejected(self):
+        ds = tiny_dataset(n=24, n_classes=4)  # every split holds labels 0 to 3
+        assert evaluate(constant_logit_net(3, 4), ds) == (25.0, 75.0)
+        message = r"^test split has label 3, but the network has only 3 outputs$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(constant_logit_net(3, 3), ds)
+
     def test_duplicate_merge_preserves_accuracy(self):
         ds = make_blobs(n_samples=400, n_features=6, seed=10)
         net = train(ds, TrainConfig(hidden_units=5, epochs=10, seed=10))
@@ -283,7 +291,7 @@ class TestEvaluate:
     def test_invariant_under_relu_rescale(self):
         ds = make_blobs(n_samples=400, n_features=6, seed=12)
         net = train(ds, TrainConfig(hidden_units=7, epochs=10, activation=Activation.RELU, seed=12))
-        rescaled = rescale_relu_layer(net, 0).network
+        rescaled = relu_rescaled(net)
         assert evaluate(rescaled, ds) == evaluate(net, ds)
 
 
@@ -378,6 +386,15 @@ class TestErrorCurves:
         five_features = make_blobs(n_samples=300, n_features=5, seed=19)
         with pytest.raises(ValueError, match=r"^batch must have shape \(n, 6\)$"):
             trace_error_curve(net, trace, five_features)
+
+    def test_label_without_an_output_rejected(self):
+        ds = tiny_dataset(n=24, n_classes=4)  # every split holds labels 0 to 3
+        trace = PruneTrace(0, 2, (PruneStep(1, 1, 0.0),))
+        curve = trace_error_curve(constant_logit_net(3, 4), trace, ds, "val")
+        assert curve == [(0, 75.0), (1, 75.0)]
+        message = r"^val split has label 3, but the network has only 3 outputs$"
+        with pytest.raises(ValueError, match=message):
+            trace_error_curve(constant_logit_net(3, 3), trace, ds, "val")
 
     def test_trace_from_wider_layer_rejected(self):
         ds = make_blobs(n_samples=300, n_features=6, seed=18)
