@@ -215,6 +215,22 @@ class TestDeleteNeuron:
             smaller.layers[1].weights, np.delete(net.layers[1].weights, 2, axis=1)
         )
 
+    def test_rejects_out_of_range(self):
+        net = seeded_net(5)
+        n = net.layers[0].n_out
+        with pytest.raises(ValueError, match="outside the original layer"):
+            replay_trace(net, PruneTrace(0, n, (PruneStep(1, n, 0.0),)))
+
+    def test_rejects_emptying_a_layer(self):
+        net = seeded_net(5, hidden=1)
+        with pytest.raises(ValueError, match="at least two neurons"):
+            replay_trace(net, PruneTrace(0, 1, (PruneStep(1, 0, 0.0),)))
+
+    def test_rejects_output_layer(self):
+        net = seeded_net(5)
+        with pytest.raises(ValueError, match="output layer"):
+            replay_trace(net, PruneTrace(1, net.output_dim, (PruneStep(1, 0, 0.0),)))
+
 
 class TestMergeNeurons:
     def test_outgoing_column_folded_into_survivor(self):
@@ -249,6 +265,13 @@ class TestMergeNeurons:
 
 
 class TestRescale:
+    def test_incoming_rows_become_unit_norm(self):
+        # Without this the function checks below would pass on a helper that rescales nothing.
+        net = seeded_net(8, hidden=6)
+        rows = relu_rescaled(net).layers[0].weights
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+        assert not np.allclose(np.linalg.norm(net.layers[0].weights, axis=1), 1.0)
+
     def test_forward_deviation_stays_tiny(self):
         rng = np.random.default_rng(88)
         for seed in range(5):
