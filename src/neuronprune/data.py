@@ -5,6 +5,9 @@ class centers, flips a small fraction of labels for realism, and splits
 60/20/20 into train/validation/test by a seeded permutation. Scale
 defaults mirror a small tabular benchmark: a few thousand samples, a few
 dozen features, two classes.
+
+The buffered file opening of every reader here and in ``model_io``, and
+the line-numbered reading that CSVs and trace files share, live here too.
 """
 
 from __future__ import annotations
@@ -138,34 +141,14 @@ def make_blobs(
     )
 
 
-# Read buffer of every model, trace and CSV reader here; read a line at a
-# time, the default 8 KB takes a read call for about every two model rows
-# of 256 values.
+# Read buffer of every model, trace and CSV reader here; a reader that
+# takes a line at a time would make a read call every 8 KB by default.
 _READ_BUFFER = 1 << 16
 
 
 def _open_binary(path):
     """``path`` opened to read bytes, through the buffer every reader here shares."""
     return open(path, "rb", buffering=_READ_BUFFER)
-
-
-def _chunk_lines(
-    path, chunk: bytes, line_number: int, encoding="ascii", error=ValueError, split=str.splitlines
-) -> list[str]:
-    """The lines of ``chunk``, which ends at a ``\\n`` byte or the end of ``path``.
-
-    ``line_number`` counts the lines of ``path`` before the chunk. A byte
-    ``encoding`` cannot decode raises ``error`` at ``path:line``.
-    """
-    try:
-        return split(chunk.decode(encoding))
-    except UnicodeDecodeError as exc:
-        # the bad byte's line is the last one of the text before it plus one character
-        before = chunk[: exc.start].decode(encoding)
-        line_number += len(split(before + "?"))
-        raise error(
-            f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
-        ) from None
 
 
 def _numbered_lines(path, encoding: str = "ascii", split=str.splitlines):
@@ -181,7 +164,15 @@ def _numbered_lines(path, encoding: str = "ascii", split=str.splitlines):
     line_number = 0
     with _open_binary(path) as fh:
         for chunk in fh:
-            for line in _chunk_lines(path, chunk, line_number, encoding, split=split):
+            try:
+                lines = split(chunk.decode(encoding))
+            except UnicodeDecodeError as exc:
+                # the bad byte's line is the last one of the text before it plus one character
+                line_number += len(split(chunk[: exc.start].decode(encoding) + "?"))
+                raise ValueError(
+                    f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
+                ) from None
+            for line in lines:
                 line_number += 1
                 yield line_number, line
 

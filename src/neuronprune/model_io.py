@@ -15,12 +15,16 @@ reading a value costs a hex decode instead of a decimal parse. Layout::
     bias <n_out values>
     ... repeated per layer ...
 
-Values on a line are separated by single spaces. Only version 2 is read:
-a file of any other version, the decimal version 1 included, fails at its
-header line with :class:`ModelVersionError`. Weight rows are written, and
-read back, a block of rows at a time; rows not exactly as
-:func:`save_model` writes them are read one line at a time, so they load,
-or fail at ``path:line``, as they always did.
+The reader takes the layout :func:`save_model` writes and no other: each
+line ends at ``\\n`` (the file's last may lack it), tokens and values are
+separated by single spaces, and integers are written as ``str`` writes
+them; only hex digits may also be uppercase. Any other layout, such as
+``\\r\\n`` endings, blank lines, spaces after a line or tabs, fails at
+``path:line`` of the first line it changes. Only version 2 is read: a
+file of any other version, the decimal version 1 included, fails at its
+header line with :class:`ModelVersionError`. Weight rows are written,
+and read back, a block of rows at a time; a block that does not decode
+is read again row by row, only to name its first bad line.
 
 Traces and curves stay decimal: floats are printed at 17 significant
 digits, enough to reproduce any double exactly on reload. Cutoff
@@ -33,15 +37,13 @@ when it was not measured.
 from __future__ import annotations
 
 import binascii
-import io
 import json
 import math
-from collections import deque
 
 import numpy as np
 
 from .cutoff import CutoffReport, SaliencyHistogram
-from .data import _chunk_lines, _numbered_lines, _open_binary
+from .data import _numbered_lines, _open_binary
 from .network import Activation, FcLayer, Network
 from .pruning import PruneStep, PruneTrace
 
@@ -110,74 +112,60 @@ def save_model(net: Network, path) -> None:
 
 
 class _LineReader:
-    """A model file's ``(number, line)`` pairs, numbered as :func:`_numbered_lines` does.
+    """A model file's lines, each ending at ``\\n``, numbered from 1.
 
-    :meth:`next_line` takes the next non-blank line, stripped, and
-    :meth:`next_rows` a block of weight rows at once; ``pos`` numbers the
-    last line either took.
+    :meth:`next_line` takes one line and :meth:`next_rows` a block of
+    weight rows; ``pos`` numbers the last line either took.
     """
 
     def __init__(self, path, fh):
         self.path = path
         self.fh = fh
         self.pos = 0
-        self.taken = 0  # lines handed out so far
-        self.split = deque()  # lines of the last raw line read, not yet handed out
-        self.given_back = io.BytesIO()  # the text of a block that did not decode, to read again
 
-    def _raw_line(self) -> bytes:
-        """The next line as bytes, up to and with its b"\\n" (the file's last may have none)."""
-        line = self.given_back.readline()
-        if not line.endswith(b"\n"):  # a block that did not decode may end inside a line
-            line += self.fh.readline()
-        return line
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple[int, str]:
-        while not self.split:
-            chunk = self._raw_line()
-            if not chunk:
-                raise StopIteration
-            self.split.extend(_chunk_lines(self.path, chunk, self.taken, error=ModelFormatError))
-        self.taken += 1
-        return self.taken, self.split.popleft()
+    def _text(self, line: bytes) -> str:
+        try:
+            return line.decode("ascii")
+        except UnicodeDecodeError as exc:
+            self.fail(f"byte 0x{line[exc.start]:02x} is not ascii text")
 
     def next_line(self, expect: str) -> str:
-        for self.pos, line in self:
-            line = line.strip()
-            if line:
-                return line
-        raise ModelFormatError(f"{self.path}:{self.pos}: file ended while reading {expect}")
+        """The next line without its ``\\n``; the file's last line may lack one."""
+        line = self.fh.readline()
+        if not line:
+            self.fail(f"file ended while reading {expect}")
+        self.pos += 1
+        return self._text(line.removesuffix(b"\n"))
 
-    def next_rows(self, count: int, width: int) -> np.ndarray | None:
-        """The next ``count`` lines as rows of ``width`` values, decoded at once.
+    def next_rows(self, count: int, width: int, first: int) -> np.ndarray:
+        """Weight rows ``first`` to ``first + count - 1``, of ``width`` values, decoded at once.
 
-        Only lines exactly as :func:`save_model` writes them decode here;
-        for any others this returns None and leaves them to :meth:`next_line`.
+        Each value is 16 hex digits and a space or, at a row's end, a
+        ``\\n``. The separators are compared here and the digits by the
+        decoded length: fromhex skips whitespace, which leaves fewer bytes.
         """
-        if self.split:
-            return None
-        # Each value is 16 hex digits and a space or, at a row's end, a newline.
-        # The separators are compared here and the digits by the decoded length:
-        # fromhex skips whitespace, which leaves fewer bytes.
-        # Any text given back is read by now: rows are at least as long as it.
         size = 17 * width * count
-        text = self.fh.read(size)
-        values = b""
-        separators = (b" " * (width - 1) + b"\n") * count
-        if len(text) == size and text[16::17] == separators:
+        try:
+            text = self.fh.read(size)
+        except MemoryError:  # a width no file could back, declared by the layer header
+            self.fail(f"a row of {width} values does not fit in memory")
+        if len(text) == size and text[16::17] == (b" " * (width - 1) + b"\n") * count:
             try:
                 values = bytes.fromhex(text.decode("ascii"))
             except ValueError:  # a byte that is not ascii, or not a hex digit
-                pass
-        if len(values) != 8 * width * count:
-            self.given_back = io.BytesIO(text)
-            return None
-        self.taken += count
-        self.pos = self.taken
-        return np.frombuffer(values, dtype=">f8").reshape(count, width)
+                values = b""
+            if len(values) == 8 * width * count:
+                self.pos += count
+                return np.frombuffer(values, dtype=">f8").reshape(count, width)
+        # Some line is not a row: read to the end of the line the block ended
+        # in, and fail at the first bad one.
+        lines = (text + self.fh.readline()).split(b"\n")
+        tail = lines.pop()  # the file's last line when it lacks its \n
+        for k, line in enumerate(lines[:count]):
+            self.pos += 1
+            _parse_hex(self, self._text(line), width, f"weight row {first + k}")
+        self.pos += bool(tail)
+        self.fail(f"file ended while reading weight row {first + len(lines)}")
 
     def fail(self, message: str):
         raise ModelFormatError(f"{self.path}:{self.pos}: {message}")
@@ -197,10 +185,15 @@ def _parse_hex(reader: _LineReader, line: str, count: int, what: str) -> np.ndar
 
 
 def _parse_int(reader: _LineReader, token: str, what: str) -> int:
+    """``token`` as an integer, if it is written as ``str`` writes that integer."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        reader.fail(f"{what}: expected an integer, found {token!r}")
+        pass
+    else:
+        if str(value) == token:
+            return value
+    reader.fail(f"{what}: expected an integer, found {token!r}")
 
 
 def load_model(path) -> Network:
@@ -215,7 +208,7 @@ def load_model(path) -> Network:
 
 def _read_layers(reader: _LineReader) -> list[FcLayer]:
     """The layers of a model file, each checked on its own, up to the end of the file."""
-    magic = reader.next_line("file magic").split()
+    magic = reader.next_line("file magic").split(" ")
     if len(magic) != 2 or magic[0] != MODEL_MAGIC:
         reader.fail(f"not a {MODEL_MAGIC} file")
     version = _parse_int(reader, magic[1], "format version")
@@ -224,7 +217,7 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
             f"{reader.path}:{reader.pos}: format version {version} unsupported"
             f" (this reader handles {MODEL_VERSION})"
         )
-    header = reader.next_line("layer count").split()
+    header = reader.next_line("layer count").split(" ")
     if len(header) != 2 or header[0] != "layers":
         reader.fail("expected 'layers <count>'")
     n_layers = _parse_int(reader, header[1], "layer count")
@@ -233,7 +226,7 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
     tags = {a.value: a for a in Activation}
     layers = []
     for index in range(n_layers):
-        parts = reader.next_line(f"layer {index} header").split()
+        parts = reader.next_line(f"layer {index} header").split(" ")
         if len(parts) != 5 or parts[0] != "layer":
             reader.fail("expected 'layer <index> <activation> <n_in> <n_out>'")
         declared = _parse_int(reader, parts[1], "layer index")
@@ -252,25 +245,19 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
         step = _rows_per_block(n_in)
         for lo in range(0, n_out, step):
             hi = min(lo + step, n_out)
-            rows = reader.next_rows(hi - lo, n_in)
-            if rows is not None:
-                weights[lo:hi] = rows
-                continue
-            for k in range(lo, hi):
-                what = f"weight row {k}"
-                weights[k] = _parse_hex(reader, reader.next_line(what), n_in, what)
+            weights[lo:hi] = reader.next_rows(hi - lo, n_in, lo)
         weights.setflags(write=False)  # so FcLayer keeps this one copy
-        bias_line = reader.next_line("bias line")
-        if not bias_line.startswith("bias"):
+        tag, _, values = reader.next_line("bias line").partition(" ")
+        if tag != "bias":
             reader.fail("expected a 'bias' line after the weight rows")
-        bias = _parse_hex(reader, bias_line[4:].strip(), n_out, "bias")
+        bias = _parse_hex(reader, values, n_out, "bias")
         try:
             layers.append(FcLayer(weights=weights, bias=bias, activation=tags[parts[2]]))
         except ValueError as exc:
             reader.fail(str(exc))
-    for reader.pos, line in reader:
-        if line.strip():
-            reader.fail("unexpected content after the last layer")
+    if reader.fh.readline():
+        reader.pos += 1
+        reader.fail("unexpected content after the last layer")
     return layers
 
 
