@@ -23,7 +23,6 @@ Examples, from the repository root:
 """
 
 import argparse
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,15 +129,12 @@ def cutoff(args):
         export_report_json(free, args.out_dir / f"data_free_seed{seed}.json")
 
         oracle = replay_error_oracle(net, trace, ds, "val")
-        with warnings.catch_warnings():
-            # A small budget may end on a loose bracket; the count is still usable.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            driven = data_driven_cutoff(
-                trace,
-                oracle,
-                budget=args.budget,
-                max_error_increase=args.max_error_increase,
-            )
+        driven = data_driven_cutoff(
+            trace,
+            oracle,
+            budget=args.budget,
+            max_error_increase=args.max_error_increase,
+        )
 
         print(
             f"{seed:>4} {free.predicted_count:>5} "

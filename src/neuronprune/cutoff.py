@@ -19,7 +19,6 @@ record):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,7 +88,8 @@ class CutoffReport:
 
     ``evidence`` is the histogram for the data-free rule and the tuple of
     measured (step, error) pairs for the data-driven rule. ``warning`` is
-    set when the rule had to fall back to a cautious answer.
+    set when the rule had to fall back to a cautious answer; it is the
+    only place a rule reports that, and no Python warning is issued.
     """
 
     predicted_count: int
@@ -147,7 +147,6 @@ def data_free_cutoff(trace: PruneTrace) -> CutoffReport:
     if hist.degenerate:
         predicted = 0
         warning = "saliency histogram is degenerate (all values identical); predicting 0"
-        warnings.warn(warning, RuntimeWarning, stacklevel=2)
     else:
         predicted = int(np.count_nonzero(trace.saliencies() <= cutoff))
         warning = None
@@ -249,7 +248,6 @@ def data_driven_cutoff(
             f"oracle budget of {budget} exhausted with the boundary only bracketed "
             f"to ({best_ok}, {first_bad}); returning the cautious end"
         )
-        warnings.warn(warning, RuntimeWarning, stacklevel=2)
 
     samples = tuple(sorted(measured.items()))
     cutoff_saliency = (

@@ -6,8 +6,8 @@ class centers, flips a small fraction of labels for realism, and splits
 defaults mirror a small tabular benchmark: a few thousand samples, a few
 dozen features, two classes.
 
-The buffered file opening of every reader here and in ``model_io``, and
-the line-numbered reading that CSVs and trace files share, live here too.
+The buffered file opening of every reader here and in ``model_io`` lives
+here too.
 """
 
 from __future__ import annotations
@@ -151,26 +151,25 @@ def _open_binary(path):
     return open(path, "rb", buffering=_READ_BUFFER)
 
 
-def _numbered_lines(path, encoding: str = "ascii", split=str.splitlines):
-    """``(line_number, line)`` for each line of ``path``, read one line at a time.
+def _numbered_lines(path):
+    """``(line_number, line)`` for each line of a UTF-8 CSV, read one line at a time.
 
-    Lines are split by ``split`` and numbered from 1 as it numbers them on
-    the whole text, ``str.splitlines`` unless given: each chunk read ends
-    at a ``\\n`` byte, which no other ASCII or UTF-8 character contains and
-    which ends any ``\\r\\n``, so no character or separator spans two
-    chunks. A byte ``encoding`` cannot decode raises ValueError at
-    ``path:line``.
+    Lines end where :func:`_loadtxt_lines` ends them and are numbered
+    from 1 as it numbers them on the whole text: each chunk read ends at
+    a ``\\n`` byte, which no other UTF-8 character contains and which
+    ends any ``\\r\\n``, so no character or line end spans two chunks.
+    A byte that is not UTF-8 raises ValueError at ``path:line``.
     """
     line_number = 0
     with _open_binary(path) as fh:
         for chunk in fh:
             try:
-                lines = split(chunk.decode(encoding))
+                lines = _loadtxt_lines(chunk.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 # the bad byte's line is the last one of the text before it plus one character
-                line_number += len(split(chunk[: exc.start].decode(encoding) + "?"))
+                line_number += len(_loadtxt_lines(chunk[: exc.start].decode("utf-8") + "?"))
                 raise ValueError(
-                    f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not {encoding} text"
+                    f"{path}:{line_number}: byte 0x{chunk[exc.start]:02x} is not utf-8 text"
                 ) from None
             for line in lines:
                 line_number += 1
@@ -191,7 +190,7 @@ def _rows(path, has_header: bool):
     Line 1 is skipped under ``has_header``, ``#`` comments are cut, and
     lines left empty are skipped.
     """
-    for line_number, line in _numbered_lines(path, "utf-8", split=_loadtxt_lines):
+    for line_number, line in _numbered_lines(path):
         text = line.split("#", 1)[0]
         if text and not (has_header and line_number == 1):
             yield line_number, text

@@ -30,8 +30,9 @@ Traces and curves stay decimal: floats are printed at 17 significant
 digits, enough to reproduce any double exactly on reload. Cutoff
 reports are JSON, whose floats reload exactly too.
 The trace CSV header is exactly ``step,kept,removed,saliency,test_error``;
-``kept`` is empty for steps without surgery and ``test_error`` is empty
-when it was not measured.
+row k's ``step`` is k, ``kept`` is empty for steps without surgery and
+``test_error`` is always empty. The trace reader takes that layout and
+no other, each line ending at ``\\n``, and fails at ``path:line`` otherwise.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ from __future__ import annotations
 import binascii
 import json
 import math
+import os
+import re
+import stat
 
 import numpy as np
 
 from .cutoff import CutoffReport, SaliencyHistogram
-from .data import _numbered_lines, _open_binary
+from .data import _open_binary
 from .network import Activation, FcLayer, Network
 from .pruning import PruneStep, PruneTrace
 
@@ -66,6 +70,9 @@ MODEL_MAGIC = "neuronprune-model"
 MODEL_VERSION = 2
 TRACE_HEADER = "step,kept,removed,saliency,test_error"
 CURVE_HEADER = "step,test_error"
+# A trace row as export_trace writes it: integers as str writes them, kept
+# empty without surgery, the saliency as _fmt writes it, test_error empty.
+_TRACE_ROW = re.compile(r"([0-9]+),(0|[1-9][0-9]*|),(0|[1-9][0-9]*),([0-9a-z.+-]+),")
 
 
 class ModelFormatError(ValueError):
@@ -112,16 +119,18 @@ def save_model(net: Network, path) -> None:
 
 
 class _LineReader:
-    """A model file's lines, each ending at ``\\n``, numbered from 1.
+    """A file's lines, each ending at ``\\n``, numbered from 1.
 
-    :meth:`next_line` takes one line and :meth:`next_rows` a block of
-    weight rows; ``pos`` numbers the last line either took.
+    :meth:`next_line` takes one line, :meth:`lines` the rest and
+    :meth:`next_rows` a block of weight rows; ``pos`` numbers the last
+    line any took. :meth:`fail` raises ``error`` at ``path:pos``.
     """
 
-    def __init__(self, path, fh):
+    def __init__(self, path, fh, error=ModelFormatError):
         self.path = path
         self.fh = fh
         self.pos = 0
+        self.error = error
 
     def _text(self, line: bytes) -> str:
         try:
@@ -133,9 +142,16 @@ class _LineReader:
         """The next line without its ``\\n``; the file's last line may lack one."""
         line = self.fh.readline()
         if not line:
+            self.pos = max(self.pos, 1)  # an empty file ends in line 1
             self.fail(f"file ended while reading {expect}")
         self.pos += 1
         return self._text(line.removesuffix(b"\n"))
+
+    def lines(self):
+        """Each line left, as :meth:`next_line` gives it, up to the end of the file."""
+        for line in self.fh:
+            self.pos += 1
+            yield self._text(line.removesuffix(b"\n"))
 
     def next_rows(self, count: int, width: int, first: int) -> np.ndarray:
         """Weight rows ``first`` to ``first + count - 1``, of ``width`` values, decoded at once.
@@ -168,7 +184,7 @@ class _LineReader:
         self.fail(f"file ended while reading weight row {first + len(lines)}")
 
     def fail(self, message: str):
-        raise ModelFormatError(f"{self.path}:{self.pos}: {message}")
+        raise self.error(f"{self.path}:{self.pos}: {message}")
 
 
 def _parse_hex(reader: _LineReader, line: str, count: int, what: str) -> np.ndarray:
@@ -238,9 +254,13 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
         n_out = _parse_int(reader, parts[4], "n_out")
         if n_in < 1 or n_out < 1:
             reader.fail("layer dimensions must be positive")
+        info = os.fstat(reader.fh.fileno())
+        need, left = 17 * n_in * n_out, info.st_size - reader.fh.tell()
+        if stat.S_ISREG(info.st_mode) and need > left:
+            reader.fail(f"{n_out} rows of {n_in} values need {need} bytes; {left} are left")
         try:
             weights = np.empty((n_out, n_in))
-        except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        except (MemoryError, ValueError):  # a pipe's size is unknown; ValueError: too many bytes
             reader.fail(f"a layer of {n_out}x{n_in} weights does not fit in memory")
         step = _rows_per_block(n_in)
         for lo in range(0, n_out, step):
@@ -263,10 +283,9 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
 
 def export_trace(trace: PruneTrace, path) -> None:
     lines = [TRACE_HEADER]
-    for k, step in enumerate(trace.steps):
+    for number, step in enumerate(trace.steps, start=1):
         kept = "" if step.kept is None else str(step.kept)
-        err = "" if trace.test_errors is None else _fmt(trace.test_errors[k])
-        lines.append(f"{step.step_number},{kept},{step.removed},{_fmt(step.saliency)},{err}")
+        lines.append(f"{number},{kept},{step.removed},{_fmt(step.saliency)},")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -278,45 +297,29 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
     so they are parameters. ``n_original`` defaults to the smallest width
     consistent with the file: one more than the number of steps, or one
     more than the largest neuron index mentioned, whichever is larger.
-    For full prune-to-one traces that default is the true width.
+    For full prune-to-one traces that default is the true width. Only the
+    layout :func:`export_trace` writes is read; any other fails at ``path:line``.
     """
-    lines = [(n, l) for n, l in _numbered_lines(path) if l.strip()]
-    if not lines or lines[0][1] != TRACE_HEADER:
-        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected header {TRACE_HEADER!r}")
     steps = []
-    errors = []
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 comma-separated fields")
-        try:
-            steps.append(
-                PruneStep(
-                    step_number=int(parts[0]),
-                    kept=None if parts[1] == "" else int(parts[1]),
-                    removed=int(parts[2]),
-                    saliency=float(parts[3]),
-                )
-            )
-            errors.append(None if parts[4] == "" else float(parts[4]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    have_errors = [e for e in errors if e is not None]
-    if have_errors and len(have_errors) != len(errors):
-        raise ValueError(f"{path}: test_error must be filled for all steps or none")
+    with _open_binary(path) as fh:
+        reader = _LineReader(path, fh, error=ValueError)
+        if reader.next_line("the header") != TRACE_HEADER:
+            reader.fail(f"expected header {TRACE_HEADER!r}")
+        for number, line in enumerate(reader.lines(), start=1):
+            row = _TRACE_ROW.fullmatch(line)
+            if row is None:
+                reader.fail("expected step,kept,removed,saliency and an empty test_error")
+            if row[1] != str(number):
+                reader.fail(f"step {row[1]} is not the row's position {number}")
+            kept = int(row[2]) if row[2] else None
+            try:
+                steps.append(PruneStep(removed=int(row[3]), saliency=float(row[4]), kept=kept))
+            except ValueError as exc:
+                reader.fail(str(exc))
     if n_original is None:
-        largest = max(
-            (max(s.removed, -1 if s.kept is None else s.kept) for s in steps),
-            default=0,
-        )
-        n_original = max(len(steps) + 1, largest + 1, 2)
+        n_original = 1 + max([1, len(steps)] + [max(s.removed, s.kept or 0) for s in steps])
     try:
-        return PruneTrace(
-            layer_index=layer_index,
-            n_original=n_original,
-            steps=tuple(steps),
-            test_errors=tuple(have_errors) if have_errors else None,
-        )
+        return PruneTrace(layer_index=layer_index, n_original=n_original, steps=tuple(steps))
     except ValueError as exc:  # steps that are fine alone but not together
         raise ValueError(f"{path}: {exc}") from None
 

@@ -93,7 +93,7 @@ class PrunePolicy:
             raise ValueError(f"policy {self.kind.value} does not take a seed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PruneStep:
     """One removal, in the layer's original numbering.
 
@@ -102,17 +102,15 @@ class PruneStep:
     trace can be replayed mechanically (merge when present, plain delete
     otherwise). ``saliency`` holds the policy's own score: the matrix
     entry for the saliency policies (inf when every cost left overflows),
-    the magnitude product for NAIVE_MAGNITUDE, and 0.0 for RANDOM.
+    the magnitude product for NAIVE_MAGNITUDE, and 0.0 for RANDOM. A
+    step's number is its position in the trace, counted from 1.
     """
 
-    step_number: int
     removed: int
     saliency: float
     kept: int | None = None
 
     def __post_init__(self):
-        if self.step_number < 1:
-            raise ValueError("step numbers start at 1")
         if self.removed < 0 or (self.kept is not None and self.kept < 0):
             raise ValueError("removed and kept indices must be nonnegative")
         if self.kept is not None and self.kept == self.removed:
@@ -127,14 +125,12 @@ class PruneTrace:
 
     ``n_original`` is the layer width before the first removal; with it,
     a consumer can tell whether the trace covers the full spectrum down
-    to a single surviving neuron. ``test_errors``, when present, holds
-    one measured error per step.
+    to a single surviving neuron.
     """
 
     layer_index: int
     n_original: int
     steps: tuple[PruneStep, ...]
-    test_errors: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -147,13 +143,6 @@ class PruneTrace:
             raise ValueError("removed indices must be distinct")
         if any(max(s.removed, s.kept or 0) >= self.n_original for s in self.steps):
             raise ValueError("removed or kept index outside the original layer")
-        numbers = [s.step_number for s in self.steps]
-        if any(b <= a for a, b in zip(numbers, numbers[1:])):
-            raise ValueError("step numbers must be strictly increasing")
-        if self.test_errors is not None:
-            object.__setattr__(self, "test_errors", tuple(float(e) for e in self.test_errors))
-            if len(self.test_errors) != len(self.steps):
-                raise ValueError("need exactly one test error per step")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -169,7 +158,7 @@ class PruneTrace:
     def without_surgery(self) -> "PruneTrace":
         """The same removals as plain deletions: the SALIENCY_NO_SURGERY ablation."""
         steps = tuple(replace(s, kept=None) for s in self.steps)
-        return replace(self, steps=steps, test_errors=None)
+        return replace(self, steps=steps)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing costs are inf by design
@@ -190,12 +179,7 @@ def prune_one(
         raise ValueError("matrix live count does not match the layer width")
     i, j = matrix.argmin_live()
     costs = _cost_columns(matrix.sim_sq, matrix.mean_sq_out, matrix.live, np.array([j]))
-    step = PruneStep(
-        step_number=matrix.n_original - matrix.n_live + 1,
-        removed=j,
-        saliency=float(costs[0, i]),
-        kept=i,
-    )
+    step = PruneStep(removed=j, saliency=float(costs[0, i]), kept=i)
     new_net = merge_neurons(
         net, layer_index, matrix.physical_index(i), matrix.physical_index(j)
     )
@@ -218,9 +202,9 @@ def _run_saliency(
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = costs.column_minima(msq, live)
     steps = []
-    for step_number in range(1, count + 1):
+    for _ in range(count):
         i, j = _cheapest(best_row, best, live)
-        steps.append(PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i))
+        steps.append(PruneStep(removed=j, saliency=float(best[j]), kept=i))
         edit.remove(j, i)
         best[j], best_row[j] = np.inf, -1  # no later removal makes a dead column stale
         msq[i] = _mean_squares(weights[:, i])
@@ -249,16 +233,13 @@ def _deletion_trace(
         if np.isnan(scores).any():  # an inf incoming norm times a zero outgoing column
             raise ValueError("a magnitude score is nan")
         order = np.argsort(scores, kind="stable")[:count]  # ties go to the smallest index
-        steps = [
-            PruneStep(step_number=k + 1, removed=int(j), saliency=float(scores[j]))
-            for k, j in enumerate(order)
-        ]
+        steps = [PruneStep(removed=int(j), saliency=float(scores[j])) for j in order]
     else:
         rng = np.random.default_rng(policy.seed)
         alive = list(range(net.layers[layer_index].n_out))
         steps = [
-            PruneStep(step_number=k + 1, removed=alive.pop(rng.integers(len(alive))), saliency=0.0)
-            for k in range(count)
+            PruneStep(removed=alive.pop(rng.integers(len(alive))), saliency=0.0)
+            for _ in range(count)
         ]
     return PruneTrace(
         layer_index=layer_index, n_original=net.layers[layer_index].n_out, steps=tuple(steps)

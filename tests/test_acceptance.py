@@ -223,8 +223,7 @@ def test_criterion_08_data_free_cutoff_stays_near_baseline(acceptance_runs):
         layer_index=0,
         n_original=len(saliencies) + 1,
         steps=tuple(
-            PruneStep(step_number=k + 1, removed=k, saliency=float(s))
-            for k, s in enumerate(saliencies)
+            PruneStep(removed=k, saliency=float(s)) for k, s in enumerate(saliencies)
         ),
     )
     h = histogram(trace)
@@ -308,15 +307,10 @@ def test_criterion_11_round_trip_io_is_exact(tmp_path):
     trace = PruneTrace(
         layer_index=0,
         n_original=5,
-        steps=tuple(
-            PruneStep(step_number=k + 1, removed=k, saliency=s, kept=4)
-            for k, s in enumerate(saliencies)
-        ),
-        test_errors=(10.5, 11.25, 12.0, 40.0),
+        steps=tuple(PruneStep(removed=k, saliency=s, kept=4) for k, s in enumerate(saliencies)),
     )
     trace_path = tmp_path / "trace.csv"
     export_trace(trace, trace_path)
     back = import_trace(trace_path)
-    assert [s.saliency for s in back.steps] == saliencies
-    assert back.test_errors == trace.test_errors
+    assert back == trace
     print("criterion 11 round-trip io: PASS (weights bitwise, trace floats exact)")

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -299,7 +300,6 @@ class TestCutoff:
         assert payload["predicted_count"] == report.predicted_count
         assert payload["cutoff_saliency"] == report.cutoff_saliency
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_json_report_carries_the_degenerate_warning(self, tmp_path):
         trace_path = tmp_path / "flat.csv"
         trace_path.write_text("step,kept,removed,saliency,test_error\n1,1,0,0.5,\n2,1,2,0.5,\n")
@@ -341,7 +341,6 @@ class TestCutoff:
         assert err.startswith("error:")
         assert "does not name a prunable layer" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_data_driven_reports_a_count_within_the_trace(
         self, full_trace_file, model_file
     ):
@@ -353,6 +352,20 @@ class TestCutoff:
         assert stdout_value(out, "method") == "data-driven"
         predicted = int(stdout_value(out, "predicted_count"))
         assert 0 <= predicted <= 9
+
+    def test_a_loose_bracket_is_reported_once(self, full_trace_file, model_file):
+        # On less separated data, both sweep steps (8 and 9) exceed the baseline error.
+        data_args = tuple("3.0" if arg == "6.0" else arg for arg in DATA_ARGS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a Python warning would end the command
+            code, out, err = run_cli(
+                ["cutoff", "--trace", str(full_trace_file), "--method", "data-driven",
+                 "--model", str(model_file), *data_args, "--budget", "3",
+                 "--max-error-increase", "0"]
+            )
+        assert code == 0 and err == ""
+        (line,) = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert line.startswith("warning: oracle budget of 3 exhausted")
 
     def test_data_driven_rejects_a_dataset_of_another_width(
         self, full_trace_file, model_file
@@ -389,12 +402,14 @@ class TestCutoff:
         assert f"{bad}:2:" in err
 
 
-    def test_a_bad_row_after_a_blank_line_names_its_own_line(self, tmp_path):
+    def test_a_blank_line_names_its_own_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("step,kept,removed,saliency,test_error\n\n1,1,0,0.5,\n2,1,2,abc,\n")
         code, _, err = run_cli(["cutoff", "--trace", str(bad)])
         assert code == 1
-        assert f"{bad}:4:" in err
+        assert err.strip() == (
+            f"error: {bad}:2: expected step,kept,removed,saliency and an empty test_error"
+        )
 
     def test_a_non_ascii_byte_names_the_line(self, tmp_path):
         bad = tmp_path / "bad.csv"

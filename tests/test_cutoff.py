@@ -37,10 +37,7 @@ def trace_of(saliencies, full=True):
     """Wrap a saliency sequence in a trace; ``full`` makes it a prune-to-one run."""
     saliencies = np.asarray(saliencies, dtype=np.float64)
     n = len(saliencies)
-    steps = tuple(
-        PruneStep(step_number=k + 1, removed=k, saliency=float(s))
-        for k, s in enumerate(saliencies)
-    )
+    steps = tuple(PruneStep(removed=k, saliency=float(s)) for k, s in enumerate(saliencies))
     return PruneTrace(layer_index=0, n_original=n + 1 if full else n + 2, steps=steps)
 
 
@@ -108,11 +105,11 @@ class TestDataFree:
             data_free_cutoff(import_trace(path))
 
     def test_all_zero_saliencies_predict_nothing_with_warning(self):
-        tr = trace_of([0.0] * 6)
-        with pytest.warns(RuntimeWarning):
-            rep = data_free_cutoff(tr)
+        rep = data_free_cutoff(trace_of([0.0] * 6))
         assert rep.predicted_count == 0
-        assert rep.warning is not None
+        assert rep.warning == (
+            "saliency histogram is degenerate (all values identical); predicting 0"
+        )
         assert rep.method is CutoffMethod.DATA_FREE
 
     def test_counts_steps_at_or_below_mode_center(self):
@@ -172,7 +169,6 @@ class TestDataDriven:
         assert rep.warning is None
         assert rep.method is CutoffMethod.DATA_DRIVEN
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_flat_then_ramp_found_within_five_steps(self):
         n, flat = 500, 400
         oracle = ramp_curve(flat)
@@ -192,7 +188,6 @@ class TestDataDriven:
         with pytest.raises(ValueError):
             data_driven_cutoff(tr, lambda s: 0.0, budget=5, max_error_increase=1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(st.integers(3, 14))
     @settings(max_examples=12)
     def test_oracle_call_count_respects_budget(self, budget):
@@ -208,7 +203,6 @@ class TestDataDriven:
         assert len(calls) <= budget
         assert len(set(calls)) == len(calls)  # no step is measured twice
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_threshold_monotonicity(self):
         tr = trace_of(ramp_saliencies(120, 80))
         oracle = ramp_curve(80)
@@ -218,7 +212,6 @@ class TestDataDriven:
         ]
         assert preds == sorted(preds)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_evidence_holds_measured_points(self):
         tr = trace_of(ramp_saliencies(60, 40))
         oracle = ramp_curve(40)
@@ -233,9 +226,8 @@ class TestDataDriven:
         # 3 calls on a 500-step trace cannot bisect down to adjacent steps
         tr = trace_of(ramp_saliencies(500, 100))
         oracle = ramp_curve(100)
-        with pytest.warns(RuntimeWarning):
-            rep = data_driven_cutoff(tr, oracle, budget=3, max_error_increase=1.0)
-        assert rep.warning is not None
+        rep = data_driven_cutoff(tr, oracle, budget=3, max_error_increase=1.0)
+        assert rep.warning.startswith("oracle budget of 3 exhausted with the boundary only bracketed")
         assert rep.predicted_count <= 500
 
 

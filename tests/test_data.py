@@ -279,33 +279,41 @@ class TestLoadCsv:
         assert not np.array_equal(a.train_idx, c.train_idx)
 
 
-def whole_text_lines(path, encoding):
+def whole_text_lines(path):
     """The whole-text reader ``_numbered_lines`` replaced, kept as its reference.
 
-    Returns ``(line_number, line)`` pairs from ``splitlines`` on the whole
-    decoded text or, when a byte does not decode, the message that names
-    it: the text is decoded again with undecodable bytes as lone
-    surrogates, and the first line holding one is the bad byte's line.
+    Returns ``(line_number, line)`` pairs from the whole decoded text,
+    split where ``np.loadtxt`` ends a line, or, when a byte does not
+    decode, the message that names it: the text is decoded again with
+    undecodable bytes as lone surrogates, and the first line holding one
+    is the bad byte's line.
     """
     try:
-        with open(path, encoding=encoding) as fh:
-            return list(enumerate(fh.read().splitlines(), start=1))
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(enumerate(csv_lines(fh.read()), start=1))
     except UnicodeDecodeError:
         pass
-    with open(path, encoding=encoding, errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        lines = csv_lines(fh.read())
     for line_number, line in enumerate(lines, start=1):
         found = re.search("[\udc80-\udcff]", line)
         if found:
             byte = ord(found.group()) - 0xDC00
-            return f"{path}:{line_number}: byte 0x{byte:02x} is not {encoding} text"
-    return f"{path}: not {encoding} text"
+            return f"{path}:{line_number}: byte 0x{byte:02x} is not utf-8 text"
+    return f"{path}: not utf-8 text"
+
+
+def csv_lines(text):
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r``, with no empty line after the last end."""
+    lines = re.split("\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 # Every line separator str.splitlines knows, as ASCII bytes and as UTF-8
-# (NEL, U+2028, U+2029), plus text, a two-byte character, and bytes or
-# sequences that one or both encodings cannot decode: stray continuation
-# bytes, cut sequences and an encoded surrogate.
+# (NEL, U+2028, U+2029), of which the CSV rule ends a line only at the
+# first three, plus text, a two-byte character, and bytes or sequences
+# that UTF-8 cannot decode: stray continuation bytes, cut sequences and
+# an encoded surrogate.
 PIECES = [
     b"7", b"a b", b"\n", b"\r", b"\r\n", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e",
     "\x85".encode(), "\u2028".encode(), "\u2029".encode(), "\xe9".encode(),
@@ -314,22 +322,19 @@ PIECES = [
 
 
 class TestNumberedLines:
-    @given(
-        st.lists(st.sampled_from(PIECES), max_size=24).map(b"".join),
-        st.sampled_from(["ascii", "utf-8"]),
-    )
+    @given(st.lists(st.sampled_from(PIECES), max_size=24).map(b"".join))
     @settings(max_examples=1000)
-    def test_matches_the_whole_text_reader(self, tmp_path_factory, blob, encoding):
+    def test_matches_the_whole_text_reader(self, tmp_path_factory, blob):
         path = tmp_path_factory.mktemp("lines") / "blob.txt"
         path.write_bytes(blob)
         try:
-            got = list(_numbered_lines(path, encoding))
+            got = list(_numbered_lines(path))
         except ValueError as exc:
             got = str(exc)
-        assert got == whole_text_lines(path, encoding)
+        assert got == whole_text_lines(path)
 
     def test_names_the_line_of_the_bad_byte(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_bytes(b"ok\r\n\x0bstill ok\n\xc3\xa9\n")  # \v ends line 2
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: byte 0xc3 is not ascii text$"):
-            list(_numbered_lines(path, "ascii"))
+        path.write_bytes(b"ok\r\n\x0bstill ok\r\xff\n")  # \v ends no line
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: byte 0xff is not utf-8 text$"):
+            list(_numbered_lines(path))

@@ -30,11 +30,11 @@ def test_trace_example_imports_to_its_steps(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(fenced_block("FORMATS.md", "## Prune traces"))
     steps = (
-        PruneStep(step_number=1, kept=2, removed=4, saliency=0.0),
-        PruneStep(step_number=2, kept=None, removed=0, saliency=0.125),
-        PruneStep(step_number=3, kept=3, removed=1, saliency=2.5),
+        PruneStep(kept=2, removed=4, saliency=0.0),
+        PruneStep(kept=None, removed=0, saliency=0.125),
+        PruneStep(kept=3, removed=1, saliency=2.5),
     )
-    assert import_trace(path) == PruneTrace(0, 5, steps, test_errors=(3.25, 4.5, 11.0))
+    assert import_trace(path) == PruneTrace(0, 5, steps)
 
 
 def test_cli_walkthrough_runs(tmp_path):

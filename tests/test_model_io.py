@@ -1,5 +1,6 @@
 """Text serialization of networks, traces, curves, and cutoff reports."""
 
+import hashlib
 import json
 import math
 import re
@@ -19,6 +20,8 @@ from neuronprune import (
     ModelFormatError,
     ModelVersionError,
     Network,
+    PolicyKind,
+    PrunePolicy,
     PruneStep,
     PruneTrace,
     data_driven_cutoff,
@@ -29,6 +32,7 @@ from neuronprune import (
     forward_batch,
     import_trace,
     load_model,
+    prune_layer,
     save_model,
 )
 import neuronprune.data
@@ -49,6 +53,12 @@ layer 1 identity 2 1
 bias 3fe8000000000000
 """
 
+# sha256 of the prune-to-one traces of random_net(0, (16, 64, 3)).
+PINNED_TRACE_SHA256 = {
+    PolicyKind.SALIENCY_SURGERY: "bcef28d2d26768299586562c9f6c4ee703d4f01f043bc1fda5195e22dadbf8d6",
+    PolicyKind.SALIENCY_NO_SURGERY: "3578b360e3dc3acdb4485612f296f0525546c3e08195a29e37b47248a9869c05",
+}
+
 
 def random_net(seed, sizes=(4, 6, 3), activation=Activation.SIGMOID):
     rng = np.random.default_rng(seed)
@@ -67,9 +77,9 @@ def random_net(seed, sizes=(4, 6, 3), activation=Activation.SIGMOID):
 
 def sample_trace():
     steps = (
-        PruneStep(step_number=1, removed=4, saliency=1.25e-3, kept=2),
-        PruneStep(step_number=2, removed=0, saliency=np.pi),
-        PruneStep(step_number=3, removed=1, saliency=0.1 + 0.2, kept=3),
+        PruneStep(removed=4, saliency=1.25e-3, kept=2),
+        PruneStep(removed=0, saliency=np.pi),
+        PruneStep(removed=1, saliency=0.1 + 0.2, kept=3),
     )
     return PruneTrace(layer_index=0, n_original=6, steps=steps)
 
@@ -243,29 +253,28 @@ class TestModelErrors:
         with pytest.raises(ModelFormatError):
             load_model(q)
 
-    @pytest.mark.parametrize(
-        "n_in,n_out", [(2, 10**11), (2, 10**18), (10**9, 1)],
-        ids=[str(10**11), str(10**18), "row-of-1000000000"],
-    )
+    @pytest.mark.parametrize("n_in,n_out", [
+        (2, 10**11), (2, 10**18), (10**9, 1), (1, 10**9), (10**5, 10**5),
+    ])
     def test_layer_too_large_to_hold_is_a_parse_error(self, tmp_path, n_in, n_out):
-        # The reader allocates each layer's matrix from its header, and reads
-        # a row at least at once; a size no file could back must still end in
-        # a path:line error, not a crash. Which check fires depends on the
-        # memory of the host, so only the prefix is matched.
+        # The reader allocates each layer's matrix from its header; a size no
+        # file could back fails at that header, whatever memory the host has.
         p = tmp_path / "huge.model"
         p.write_text(GOLDEN_221_V2.replace("layer 0 relu 2 2", f"layer 0 relu {n_in} {n_out}"))
-        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(p))}:\\d+: "):
+        need = 17 * n_in * n_out
+        message = f"{p}:3: {n_out} rows of {n_in} values need {need} bytes; 184 are left"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             load_model(p)
 
-    @pytest.mark.parametrize("end,line", [
-        ("bfd0000000000000\n", 4),  # after row 0
-        ("3ff80000", 5),  # inside a value of row 1
-        ("4000000000000000", 5),  # before row 1's newline
+    @pytest.mark.parametrize("end,left", [
+        ("bfd0000000000000\n", 34),  # after row 0
+        ("3ff80000", 42),  # inside a value of row 1
+        ("4000000000000000", 67),  # before row 1's newline
     ])
-    def test_a_file_that_ends_in_the_rows_names_its_last_line(self, tmp_path, end, line):
+    def test_a_file_that_ends_in_the_rows_fails_at_their_header(self, tmp_path, end, left):
         p = tmp_path / "cut.model"
         p.write_text(GOLDEN_221_V2[: GOLDEN_221_V2.index(end) + len(end)])
-        message = f"{p}:{line}: file ended while reading weight row 1"
+        message = f"{p}:3: 2 rows of 2 values need 68 bytes; {left} are left"
         with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             load_model(p)
 
@@ -363,7 +372,7 @@ class TestModelErrors:
 
 
 def random_trace(seed):
-    """A valid trace of 1 to n - 1 steps on a layer of 3 to 7; some steps delete, some errors."""
+    """A valid trace of 1 to n - 1 steps on a layer of 3 to 7; some steps delete."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 8))
     order = rng.permutation(n)
@@ -375,11 +384,8 @@ def random_trace(seed):
         saliency = float(rng.exponential() * 10.0 ** rng.integers(-8, 8))
         if rng.random() < 0.1:
             saliency = math.inf
-        steps.append(
-            PruneStep(step_number=k + 1, removed=int(order[k]), saliency=saliency, kept=kept)
-        )
-    errors = tuple(rng.uniform(0, 100, count)) if rng.random() < 0.5 else None
-    return PruneTrace(layer_index=0, n_original=n, steps=tuple(steps), test_errors=errors)
+        steps.append(PruneStep(removed=int(order[k]), saliency=saliency, kept=kept))
+    return PruneTrace(layer_index=0, n_original=n, steps=tuple(steps))
 
 
 class TestReaderFuzz:
@@ -555,14 +561,6 @@ class TestTraceCsv:
         back = import_trace(p, n_original=6)
         assert back == tr
 
-    def test_test_errors_round_trip(self, tmp_path):
-        p = tmp_path / "t.csv"
-        tr = PruneTrace(0, 6, sample_trace().steps, test_errors=(3.25, 4.5, 11.0))
-        export_trace(tr, p)
-        back = import_trace(p, n_original=6)
-        assert back == tr
-        assert back.test_errors == (3.25, 4.5, 11.0)
-
     def test_import_infers_minimal_layer_width(self, tmp_path):
         p = tmp_path / "t.csv"
         # indices force a wider layer than step count alone would suggest
@@ -574,8 +572,8 @@ class TestTraceCsv:
             layer_index=0,
             n_original=3,
             steps=(
-                PruneStep(step_number=1, removed=1, saliency=0.5, kept=0),
-                PruneStep(step_number=2, removed=0, saliency=0.7, kept=2),
+                PruneStep(removed=1, saliency=0.5, kept=0),
+                PruneStep(removed=0, saliency=0.7, kept=2),
             ),
         )
         export_trace(compact, q)
@@ -600,22 +598,60 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=re.escape(f"{p}:2:")):
             import_trace(p, n_original=4)
 
-    @pytest.mark.parametrize("lines, problem", [
-        (["1,2,4,0.5,", "1,2,4,0.5,"], "removed indices must be distinct"),
-        (["2,2,4,0.5,", "1,2,0,0.6,"], "step numbers must be strictly increasing"),
-    ])
-    def test_import_names_its_path_when_steps_disagree(self, tmp_path, lines, problem):
+    def test_import_names_its_path_when_steps_disagree(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("\n".join(["step,kept,removed,saliency,test_error", *lines]) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {problem}$"):
+        p.write_text("step,kept,removed,saliency,test_error\n1,2,4,0.5,\n2,2,4,0.5,\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: removed indices must be distinct$"):
             import_trace(p)
 
-    def test_import_rejects_partial_error_column(self, tmp_path):
+    @pytest.mark.parametrize("policy", [PolicyKind.SALIENCY_SURGERY, PolicyKind.SALIENCY_NO_SURGERY])
+    def test_export_writes_the_pinned_bytes(self, tmp_path, policy):
+        # Pinned digests: the layout export_trace writes must not drift.
+        _, trace = prune_layer(random_net(0, (16, 64, 3)), 0, 63, PrunePolicy(policy))
+        p = tmp_path / "t.csv"
+        export_trace(trace, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == PINNED_TRACE_SHA256[policy]
+        assert import_trace(p) == trace
+
+    @pytest.mark.parametrize("text, line", [
+        ("1,2,4,0.5,3.25\n", 2),  # a filled test_error
+        ("1,2,4,0.5,\n\n2,,0,0.25,\n", 3),  # a blank line
+        ("1,2,4,0.5,\n2,,0,0.25,\n\n", 4),  # a blank line after the last row
+        ("1,2,4,0.5,\r\n", 2),
+        ("1,2,4,0.5\x0b,\n", 2),
+        ("1,2,4\x1c,0.5,\n", 2),
+        ("1,2,4,0.5,\n2,,0,1_0,\n", 3),
+        ("1,02,4,0.5,\n", 2),
+        ("1,2,-4,0.5,\n", 2),
+        ("1,2,4,Infinity,\n", 2),
+    ])
+    def test_another_layout_fails_at_its_line(self, tmp_path, text, line):
         p = tmp_path / "bad.csv"
-        p.write_text(
-            "step,kept,removed,saliency,test_error\n1,2,4,0.5,3.0\n2,,0,0.6,\n"
-        )
-        with pytest.raises(ValueError):
+        p.write_bytes(f"step,kept,removed,saliency,test_error\n{text}".encode())
+        problem = "expected step,kept,removed,saliency and an empty test_error"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:{line}: {problem}')}$"):
+            import_trace(p)
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("1,2,4,0.5,\n3,,0,0.25,\n4,3,1,2.5,\n", 3, "step 3 is not the row's position 2"),
+        ("1,2,4,0.5,\n2,,0,0.25\u2028,\n", 3, "byte 0xe2 is not ascii text"),
+        ("1,2,4,0.5,\n2,,0,nan,\n", 3, "saliency must be nonnegative"),
+    ], ids=["gapped-step", "line-separator", "nan"])
+    def test_a_bad_row_names_its_problem(self, tmp_path, text, line, problem):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(f"step,kept,removed,saliency,test_error\n{text}".encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:{line}: {problem}')}$"):
+            import_trace(p)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("", "file ended while reading the header"),
+        ("\nstep,kept,removed,saliency,test_error\n", f"expected header {model_io.TRACE_HEADER!r}"),
+        ("step,kept,removed,saliency,test_error\r\n", f"expected header {model_io.TRACE_HEADER!r}"),
+    ], ids=["empty", "blank-line", "crlf"])
+    def test_a_missing_header_fails_at_line_one(self, tmp_path, text, problem):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:1: {problem}')}$"):
             import_trace(p)
 
 
@@ -631,9 +667,7 @@ class TestCurveCsv:
 
 def small_full_trace():
     sal = [0.1, 0.1, 0.1, 0.1, 2.0, 3.0]
-    steps = tuple(
-        PruneStep(step_number=k + 1, removed=k, saliency=s) for k, s in enumerate(sal)
-    )
+    steps = tuple(PruneStep(removed=k, saliency=s) for k, s in enumerate(sal))
     return PruneTrace(layer_index=0, n_original=7, steps=steps)
 
 
@@ -659,7 +693,6 @@ class TestReports:
             "degenerate": False,
         }
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sampled_report_lists_its_samples(self, tmp_path):
         rep = data_driven_cutoff(
             small_full_trace(), lambda s: 5.0 + (0.0 if s < 5 else 9.0), budget=5,
@@ -671,7 +704,6 @@ class TestReports:
         assert payload["evidence"]["kind"] == "error-samples"
         assert payload["evidence"]["samples"] == [[s, e] for s, e in rep.evidence]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rule", ["data-free", "data-driven"])
     def test_json_report_keys_are_fixed(self, tmp_path, rule):
         trace = small_full_trace()

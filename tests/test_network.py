@@ -206,7 +206,7 @@ class TestStructureHelpers:
 class TestDeleteNeuron:
     def test_removes_row_and_column(self):
         net = seeded_net(4, hidden=6)
-        smaller = replay_trace(net, PruneTrace(0, 6, (PruneStep(1, 2, 0.0),)))
+        smaller = replay_trace(net, PruneTrace(0, 6, (PruneStep(removed=2, saliency=0.0),)))
         assert layer_sizes(smaller) == (5, 5, 3)
         np.testing.assert_array_equal(
             smaller.layers[0].weights, np.delete(net.layers[0].weights, 2, axis=0)
@@ -219,17 +219,17 @@ class TestDeleteNeuron:
         net = seeded_net(5)
         n = net.layers[0].n_out
         with pytest.raises(ValueError, match="outside the original layer"):
-            replay_trace(net, PruneTrace(0, n, (PruneStep(1, n, 0.0),)))
+            replay_trace(net, PruneTrace(0, n, (PruneStep(removed=n, saliency=0.0),)))
 
     def test_rejects_emptying_a_layer(self):
         net = seeded_net(5, hidden=1)
         with pytest.raises(ValueError, match="at least two neurons"):
-            replay_trace(net, PruneTrace(0, 1, (PruneStep(1, 0, 0.0),)))
+            replay_trace(net, PruneTrace(0, 1, (PruneStep(removed=0, saliency=0.0),)))
 
     def test_rejects_output_layer(self):
         net = seeded_net(5)
         with pytest.raises(ValueError, match="output layer"):
-            replay_trace(net, PruneTrace(1, net.output_dim, (PruneStep(1, 0, 0.0),)))
+            replay_trace(net, PruneTrace(1, net.output_dim, (PruneStep(removed=0, saliency=0.0),)))
 
 
 class TestMergeNeurons:

@@ -105,55 +105,44 @@ def tied_magnitude_net(seed, n, d, d_out, fortran):
 class TestStepAndTraceTypes:
     def test_step_rejects_kept_equal_removed(self):
         with pytest.raises(ValueError):
-            PruneStep(step_number=1, removed=3, saliency=0.0, kept=3)
+            PruneStep(removed=3, saliency=0.0, kept=3)
 
     def test_step_rejects_negative_kept(self):
         with pytest.raises(ValueError):
-            PruneStep(step_number=1, removed=0, saliency=0.0, kept=-1)
+            PruneStep(removed=0, saliency=0.0, kept=-1)
 
     def test_step_rejects_negative_saliency(self):
         with pytest.raises(ValueError):
-            PruneStep(step_number=1, removed=0, saliency=-1e-9)
+            PruneStep(removed=0, saliency=-1e-9)
 
-    def test_step_numbers_start_at_one(self):
-        with pytest.raises(ValueError):
-            PruneStep(step_number=0, removed=0, saliency=0.0)
+    def test_step_fields_are_keyword_only(self):
+        # A positional call written for an older field order fails instead of
+        # binding its values to the wrong fields.
+        with pytest.raises(TypeError):
+            PruneStep(1, 3, 0.0)
 
     def test_trace_rejects_repeated_removal(self):
         steps = (
-            PruneStep(step_number=1, removed=2, saliency=0.0),
-            PruneStep(step_number=2, removed=2, saliency=0.0),
-        )
-        with pytest.raises(ValueError):
-            PruneTrace(layer_index=0, n_original=5, steps=steps)
-
-    def test_trace_rejects_non_increasing_step_numbers(self):
-        steps = (
-            PruneStep(step_number=2, removed=0, saliency=0.0),
-            PruneStep(step_number=1, removed=1, saliency=0.0),
+            PruneStep(removed=2, saliency=0.0),
+            PruneStep(removed=2, saliency=0.0),
         )
         with pytest.raises(ValueError):
             PruneTrace(layer_index=0, n_original=5, steps=steps)
 
     def test_trace_rejects_kept_outside_the_layer(self):
-        steps = (PruneStep(step_number=1, removed=0, saliency=0.0, kept=7),)
+        steps = (PruneStep(removed=0, saliency=0.0, kept=7),)
         with pytest.raises(ValueError, match="outside the original layer"):
             PruneTrace(layer_index=0, n_original=4, steps=steps)
 
     def test_trace_cannot_exceed_layer_capacity(self):
-        steps = tuple(PruneStep(step_number=k + 1, removed=k, saliency=0.0) for k in range(3))
+        steps = tuple(PruneStep(removed=k, saliency=0.0) for k in range(3))
         with pytest.raises(ValueError):
             PruneTrace(layer_index=0, n_original=3, steps=steps)
 
     def test_is_full_flag(self):
-        steps = tuple(PruneStep(step_number=k + 1, removed=k, saliency=0.0) for k in range(2))
+        steps = tuple(PruneStep(removed=k, saliency=0.0) for k in range(2))
         assert PruneTrace(layer_index=0, n_original=3, steps=steps).is_full
         assert not PruneTrace(layer_index=0, n_original=4, steps=steps).is_full
-
-    def test_test_errors_must_align_with_steps(self):
-        steps = (PruneStep(step_number=1, removed=0, saliency=0.0),)
-        with pytest.raises(ValueError):
-            PruneTrace(layer_index=0, n_original=3, steps=steps, test_errors=(1.0, 2.0))
 
     def test_policy_seed_only_for_random(self):
         with pytest.raises(ValueError):
@@ -241,7 +230,6 @@ class TestPruneLayer:
         net = seeded_net(6, hidden=9)
         _, trace = prune_layer(net, 0, 6, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
         assert len(trace) == 6
-        assert [s.step_number for s in trace.steps] == [1, 2, 3, 4, 5, 6]
         assert all(s.kept is not None for s in trace.steps)
         assert trace.n_original == 9
 
@@ -309,8 +297,8 @@ class TestPruneLayer:
             outgoing = np.linalg.norm(np.ascontiguousarray(nxt.weights), axis=0)
             scores = incoming * outgoing
             k = int(np.argmin(scores))
-            assert step == PruneStep(step.step_number, alive.pop(k), float(scores[k]))
-            net = replay_trace(net, PruneTrace(0, layer.n_out, (PruneStep(1, k, 0.0),)))
+            assert step == PruneStep(removed=alive.pop(k), saliency=float(scores[k]))
+            net = replay_trace(net, PruneTrace(0, layer.n_out, (PruneStep(removed=k, saliency=0.0),)))
         assert len(trace) == count
         assert same_network(pruned, net)  # both C order, whatever the input's order
 
@@ -342,10 +330,10 @@ class TestPruneLayer:
         # One draw per step over the live neurons in ascending order.
         rng = np.random.default_rng(seed)
         live = np.ones(n, dtype=bool)
-        for step_number, step in enumerate(trace.steps, start=1):
+        for step in trace.steps:
             alive = np.flatnonzero(live)
             removed = int(alive[rng.integers(alive.size)])
-            assert step == PruneStep(step_number, removed, 0.0)
+            assert step == PruneStep(removed=removed, saliency=0.0)
             live[removed] = False
         assert len(trace) == count
         assert same_network(pruned, reference_replay(net, trace))
@@ -368,7 +356,6 @@ class TestPruneLayer:
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.bias, lb.bias)
         assert len({s.removed for s in t1.steps}) == 4
-        assert [s.step_number for s in t1.steps] == [1, 2, 3, 4]
         assert all(s.saliency >= 0.0 for s in t1.steps)
         assert out1.layers[0].n_out == 2
 
@@ -486,8 +473,8 @@ class TestReplayTrace:
             layer_index=0,
             n_original=5,
             steps=(
-                PruneStep(step_number=1, removed=1, saliency=0.0, kept=0),
-                PruneStep(step_number=2, removed=2, saliency=0.0, kept=1),
+                PruneStep(removed=1, saliency=0.0, kept=0),
+                PruneStep(removed=2, saliency=0.0, kept=1),
             ),
         )
         with pytest.raises(ValueError, match="already-removed neuron 1"):
@@ -506,9 +493,11 @@ class TestReplayTrace:
         assert w.flags.f_contiguous and not w.flags.c_contiguous
         folded = a.copy()
         folded[:, 1] += folded[:, 4]
-        trace = PruneTrace(0, 6, (PruneStep(1, 4, 0.0, kept=1), PruneStep(2, 0, 0.0)))
+        trace = PruneTrace(
+            0, 6, (PruneStep(removed=4, saliency=0.0, kept=1), PruneStep(removed=0, saliency=0.0))
+        )
         for edited, dropped, next_weights in (
-            (replay_trace(net, PruneTrace(0, 6, (PruneStep(1, 4, 0.0),))), [4], a),
+            (replay_trace(net, PruneTrace(0, 6, (PruneStep(removed=4, saliency=0.0),))), [4], a),
             (merge_neurons(net, 0, kept=1, removed=4), [4], folded),
             (replay_trace(net, trace, 1), [4], folded),
             (replay_trace(net, trace), [0, 4], folded),
@@ -529,7 +518,7 @@ class TestReplayTrace:
     def test_replay_rejects_width_mismatch(self):
         net = seeded_net(20, hidden=8)
         _, trace = prune_layer(net, 0, 3, PrunePolicy(PolicyKind.SALIENCY_SURGERY))
-        smaller = replay_trace(net, PruneTrace(0, 8, (PruneStep(1, 0, 0.0),)))
+        smaller = replay_trace(net, PruneTrace(0, 8, (PruneStep(removed=0, saliency=0.0),)))
         with pytest.raises(ValueError):
             replay_trace(smaller, trace)
 
@@ -588,9 +577,9 @@ def reference_loop(net, layer_index, count, mode):
     # Minima of the costs, not of sim_sq: factoring msq[c] out rounds differently, flipping ties.
     best_row, best = _column_minima(sim_sq, msq, live, np.arange(live.size))
     steps = []
-    for step_number in range(1, count + 1):
+    for _ in range(count):
         i, j = _cheapest(best_row, best, live)
-        steps.append(PruneStep(step_number=step_number, removed=j, saliency=float(best[j]), kept=i))
+        steps.append(PruneStep(removed=j, saliency=float(best[j]), kept=i))
         edit.remove(j, i)
         best[j] = np.inf
         column = edit.next_weights[:, i]

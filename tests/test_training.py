@@ -389,7 +389,7 @@ class TestErrorCurves:
 
     def test_label_without_an_output_rejected(self):
         ds = tiny_dataset(n=24, n_classes=4)  # every split holds labels 0 to 3
-        trace = PruneTrace(0, 2, (PruneStep(1, 1, 0.0),))
+        trace = PruneTrace(0, 2, (PruneStep(removed=1, saliency=0.0),))
         curve = trace_error_curve(constant_logit_net(3, 4), trace, ds, "val")
         assert curve == [(0, 75.0), (1, 75.0)]
         message = r"^val split has label 3, but the network has only 3 outputs$"
