@@ -76,7 +76,7 @@ _TRACE_ROW = re.compile(r"([0-9]+),(0|[1-9][0-9]*|),(0|[1-9][0-9]*),([0-9a-z.+-]
 
 
 class ModelFormatError(ValueError):
-    """Malformed model file; the message carries path and line number."""
+    """Malformed model or trace file; the message carries path and line number."""
 
 
 class ModelVersionError(ModelFormatError):
@@ -123,14 +123,13 @@ class _LineReader:
 
     :meth:`next_line` takes one line, :meth:`lines` the rest and
     :meth:`next_rows` a block of weight rows; ``pos`` numbers the last
-    line any took. :meth:`fail` raises ``error`` at ``path:pos``.
+    line any took. :meth:`fail` raises :class:`ModelFormatError` at ``path:pos``.
     """
 
-    def __init__(self, path, fh, error=ModelFormatError):
+    def __init__(self, path, fh):
         self.path = path
         self.fh = fh
         self.pos = 0
-        self.error = error
 
     def _text(self, line: bytes) -> str:
         try:
@@ -184,7 +183,7 @@ class _LineReader:
         self.fail(f"file ended while reading weight row {first + len(lines)}")
 
     def fail(self, message: str):
-        raise self.error(f"{self.path}:{self.pos}: {message}")
+        raise ModelFormatError(f"{self.path}:{self.pos}: {message}")
 
 
 def _parse_hex(reader: _LineReader, line: str, count: int, what: str) -> np.ndarray:
@@ -254,9 +253,9 @@ def _read_layers(reader: _LineReader) -> list[FcLayer]:
         n_out = _parse_int(reader, parts[4], "n_out")
         if n_in < 1 or n_out < 1:
             reader.fail("layer dimensions must be positive")
-        info = os.fstat(reader.fh.fileno())
-        need, left = 17 * n_in * n_out, info.st_size - reader.fh.tell()
-        if stat.S_ISREG(info.st_mode) and need > left:
+        info, need = os.fstat(reader.fh.fileno()), 17 * n_in * n_out
+        # only a regular file knows the bytes left; a pipe cannot even tell()
+        if stat.S_ISREG(info.st_mode) and need > (left := info.st_size - reader.fh.tell()):
             reader.fail(f"{n_out} rows of {n_in} values need {need} bytes; {left} are left")
         try:
             weights = np.empty((n_out, n_in))
@@ -302,7 +301,7 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
     """
     steps = []
     with _open_binary(path) as fh:
-        reader = _LineReader(path, fh, error=ValueError)
+        reader = _LineReader(path, fh)
         if reader.next_line("the header") != TRACE_HEADER:
             reader.fail(f"expected header {TRACE_HEADER!r}")
         for number, line in enumerate(reader.lines(), start=1):
@@ -311,10 +310,10 @@ def import_trace(path, layer_index: int = 0, n_original: int | None = None) -> P
                 reader.fail("expected step,kept,removed,saliency and an empty test_error")
             if row[1] != str(number):
                 reader.fail(f"step {row[1]} is not the row's position {number}")
-            kept = int(row[2]) if row[2] else None
             try:
+                kept = int(row[2]) if row[2] else None
                 steps.append(PruneStep(removed=int(row[3]), saliency=float(row[4]), kept=kept))
-            except ValueError as exc:
+            except ValueError as exc:  # a field that does not convert, or a step PruneStep refuses
                 reader.fail(str(exc))
     if n_original is None:
         n_original = 1 + max([1, len(steps)] + [max(s.removed, s.kept or 0) for s in steps])

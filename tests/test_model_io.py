@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -164,6 +166,60 @@ class TestStreamingLoad:
             with pytest.raises(ModelFormatError):
                 load_model(p)
         assert len(opened) == 1 and opened[0].closed
+
+
+def read_through_fifo(tmp_path, data: bytes, read):
+    """``read`` of a FIFO that a second thread fills with ``data``: a file with no size that cannot seek."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            try:
+                fh.write(data)
+            except BrokenPipeError:  # the reader stopped at a bad line
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestPipeInput:
+    def test_a_model_loads_bit_exact_through_a_pipe(self, tmp_path):
+        # Wider than a pipe's buffer and than one block of rows.
+        net = random_net(7, (300, 1000, 3), Activation.RELU)
+        p = tmp_path / "net.model"
+        save_model(net, p)
+        loaded = read_through_fifo(tmp_path, p.read_bytes(), load_model)
+        for la, lb in zip(net.layers, loaded.layers, strict=True):
+            assert la.activation is lb.activation
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.bias, lb.bias)
+
+    @pytest.mark.parametrize("n_in,n_out", [(2, 10**18), (10**10, 10**10)])
+    def test_a_layer_too_large_to_hold_fails_at_its_header(self, tmp_path, n_in, n_out):
+        # A pipe's size is unknown, so the allocation itself refuses the layer.
+        text = GOLDEN_221_V2.replace("layer 0 relu 2 2", f"layer 0 relu {n_in} {n_out}")
+        message = f"pipe:3: a layer of {n_out}x{n_in} weights does not fit in memory"
+        with pytest.raises(ModelFormatError, match=f"{re.escape(message)}$"):
+            read_through_fifo(tmp_path, text.encode(), load_model)
+
+    def test_a_file_that_ends_in_the_rows_names_its_last_line(self, tmp_path):
+        text = GOLDEN_221_V2[: GOLDEN_221_V2.index("3ff80000") + 8]
+        with pytest.raises(ModelFormatError, match=r"pipe:5: file ended while reading weight row 1$"):
+            read_through_fifo(tmp_path, text.encode(), load_model)
+
+    def test_a_trace_imports_through_a_pipe(self, tmp_path):
+        p = tmp_path / "t.csv"
+        export_trace(sample_trace(), p)
+        back = read_through_fifo(tmp_path, p.read_bytes(), lambda q: import_trace(q, n_original=6))
+        assert back == sample_trace()
 
 
 def reference_save_v2(net, path):
@@ -539,6 +595,19 @@ class TestBlockDecoding:
                 load_model(p)
 
 
+# More digits than int() converts by default.
+LONG_INT = "1" * 5000
+
+
+def int_refusal(digits: str) -> str:
+    """The message ``int()`` refuses ``digits`` with."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("int() converted more digits than its default limit")
+
+
 class TestTraceCsv:
     def test_empty_trace_is_header_only(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -636,7 +705,9 @@ class TestTraceCsv:
         ("1,2,4,0.5,\n3,,0,0.25,\n4,3,1,2.5,\n", 3, "step 3 is not the row's position 2"),
         ("1,2,4,0.5,\n2,,0,0.25\u2028,\n", 3, "byte 0xe2 is not ascii text"),
         ("1,2,4,0.5,\n2,,0,nan,\n", 3, "saliency must be nonnegative"),
-    ], ids=["gapped-step", "line-separator", "nan"])
+        (f"1,{LONG_INT},4,0.5,\n", 2, int_refusal(LONG_INT)),
+        (f"1,2,{LONG_INT},0.5,\n", 2, int_refusal(LONG_INT)),
+    ], ids=["gapped-step", "line-separator", "nan", "long-kept", "long-removed"])
     def test_a_bad_row_names_its_problem(self, tmp_path, text, line, problem):
         p = tmp_path / "bad.csv"
         p.write_bytes(f"step,kept,removed,saliency,test_error\n{text}".encode())
